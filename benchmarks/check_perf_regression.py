@@ -33,9 +33,13 @@ from pathlib import Path
 
 DEFAULT_TRAJECTORY = Path(__file__).resolve().parent / "perf_trajectory.json"
 
-#: /4: the eventsim section (event-core throughput ratio over the
-#: inline ship path at the anchor size).
-TRAJECTORY_SCHEMA = "kspot-perf-trajectory/4"
+#: /3: the columnar section (columnar kernel speedup over the scalar
+#: hot path at the anchor size).
+#: /4: an event-core section (event-queue shipping throughput over the
+#: inline ship path).
+#: /5: that section removed together with the event core; the gated
+#: sections are the ladder, certifier and columnar again.
+TRAJECTORY_SCHEMA = "kspot-perf-trajectory/5"
 
 
 def load(path: Path) -> dict:
@@ -80,12 +84,6 @@ def write_trajectory(report: dict, path: Path) -> None:
         trajectory["columnar"] = {
             "n_nodes": columnar["n_nodes"],
             "speedup": columnar["speedup"],
-        }
-    eventsim = report.get("eventsim")
-    if eventsim is not None:
-        trajectory["eventsim"] = {
-            "n_nodes": eventsim["n_nodes"],
-            "speedup": eventsim["speedup"],
         }
     path.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -206,44 +204,6 @@ def gate_columnar(report: dict, trajectory: dict,
     return True
 
 
-def gate_eventsim(report: dict, trajectory: dict,
-                  tolerance: float) -> bool:
-    """Gate the event-core microbench's zero-delay throughput ratio.
-
-    Mirrors :func:`gate_columnar`: absent from the committed
-    trajectory → skipped with a note; present there but missing from
-    the fresh report → hard error. The ratio (event-core epochs/sec
-    over inline epochs/sec, ~1.0 when the queue costs nothing) is
-    machine-normalized by construction: both modes run interleaved on
-    the same host over the same deployment, so a drop means the event
-    layer itself got more expensive.
-    """
-    committed = trajectory.get("eventsim")
-    if committed is None:
-        print("eventsim: not in the committed trajectory — "
-              "skipped (refresh with --write to start gating it)")
-        return True
-    fresh = report.get("eventsim")
-    if fresh is None:
-        sys.exit("error: report lacks the eventsim section — run "
-                 "a kspot-perf/5 `repro perf`")
-    if fresh.get("n_nodes") != committed.get("n_nodes"):
-        print(f"eventsim: fresh run measured N={fresh.get('n_nodes')} "
-              f"nodes, trajectory holds N={committed.get('n_nodes')} — "
-              f"skipped (size mismatch)")
-        return True
-
-    floor = (1.0 - tolerance) * committed["speedup"]
-    print(f"eventsim: event-core throughput {fresh['speedup']:.2f}x of "
-          f"the inline ship path at N={fresh['n_nodes']} "
-          f"(committed {committed['speedup']:.2f}x, floor {floor:.2f}x)")
-    if fresh["speedup"] < floor:
-        print(f"FAIL: event-core shipping regressed more than "
-              f"{tolerance:.0%} against the committed trajectory")
-        return False
-    return True
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("report", help="fresh BENCH_perf.json to check")
@@ -274,8 +234,7 @@ def main(argv=None) -> int:
     passed = all([gate_at(report, trajectory, n, args.tolerance)
                   for n in sizes]
                  + [gate_certifier(report, trajectory, args.tolerance),
-                    gate_columnar(report, trajectory, args.tolerance),
-                    gate_eventsim(report, trajectory, args.tolerance)])
+                    gate_columnar(report, trajectory, args.tolerance)])
     if not passed:
         return 1
     print("OK: hot path within the committed trajectory")

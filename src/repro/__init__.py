@@ -23,8 +23,8 @@ The ninety-second tour::
 Package map: :mod:`repro.api` (public facade), :mod:`repro.core`
 (algorithms), :mod:`repro.query` (language), :mod:`repro.network`
 (simulator), :mod:`repro.sensing`, :mod:`repro.storage`,
-:mod:`repro.gui`, :mod:`repro.server` (engine room + deprecated
-``KSpotServer`` shim), :mod:`repro.scenarios`.
+:mod:`repro.gui`, :mod:`repro.server` (engine room),
+:mod:`repro.scenarios`.
 """
 
 from .api import (
@@ -45,7 +45,7 @@ from .scenarios import (
     figure1_scenario,
     grid_rooms_scenario,
 )
-from .server import KSpotServer, QuerySession
+from .server import QuerySession
 
 __version__ = "1.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "SessionState",
     "Intervention",
     "ChurnIntervention",
-    "KSpotServer",
     "QuerySession",
     "KSpotEngine",
     "Mint",

@@ -13,9 +13,7 @@ prose (``tests/test_analysis.py``).
 Known deliberate exceptions in the tree — ``sensing`` reaching up to
 the columnar backend, ``api`` reaching into ``server.session`` for the
 legacy ``QuerySession``, the lazy ``parallel``/``perf`` and
-``scenarios``/``api`` back-edges, and ``network`` reaching up to
-``parallel.derive_seed`` for per-subtree event-stream seeding — are
-*not* declared here: they carry
+``scenarios``/``api`` back-edges — are *not* declared here: they carry
 ``# repro: allow[layer-dag]`` pragmas at the import site, so each one
 stays visible, justified and greppable instead of silently blessed.
 """

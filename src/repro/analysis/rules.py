@@ -235,8 +235,8 @@ class SwitchAndProve(Rule):
         "Every optimization ships behind a switch with its unoptimized "
         "oracle in-tree and a byte-equivalence suite (ARCHITECTURE.md "
         "'Switch-and-prove discipline'). A module that branches on "
-        "hotpath/columnar/eventsim switches must say, in its docstring, "
-        "which oracle and which tests/test_*.py suite hold it to that.")
+        "hotpath/columnar switches must say, in its docstring, which "
+        "oracle and which tests/test_*.py suite hold it to that.")
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
@@ -266,8 +266,7 @@ class SwitchAndProve(Rule):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "enabled" \
-                    and _is_name(node.func.value, "hotpath", "columnar",
-                                 "eventsim"):
+                    and _is_name(node.func.value, "hotpath", "columnar"):
                 used.add(node.func.value.id)
         return used
 

@@ -1,6 +1,6 @@
 """``repro.api`` — the layered public facade of the server tier.
 
-Three composable layers replace the old ``KSpotServer`` god-object:
+Three composable layers split the server tier by concern:
 
 * :class:`Deployment` — owns the network, schema, cluster mapping and
   baseline (shadow) factory; registers sessions

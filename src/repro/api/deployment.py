@@ -1,7 +1,7 @@
 """Deployments: the network-owning layer of the public API.
 
-A :class:`Deployment` owns exactly the static half of what the old
-``KSpotServer`` god-object mixed with driving concerns: the deployed
+A :class:`Deployment` owns the static half of the server tier, kept
+apart from driving concerns: the deployed
 :class:`~repro.network.simulator.Network`, the queryable
 :class:`~repro.query.validator.Schema`, the cluster mapping, the
 optional Display Panel, and the baseline (shadow) factory that gives

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import ValidationError
-from ..network import columnar, eventsim, hotpath
+from ..network import columnar, hotpath
 from ..network.messages import (
     FilterReportMessage,
     FilterUpdateMessage,
@@ -282,20 +282,12 @@ class Fila:
         and the per-node bounds converged into the persistent
         :class:`~repro.core.delta.TopKView` (an unchanged bound costs
         two float compares, no allocation, no re-rank).
-
-        Under the event core the sink-side report handling (known-value
-        cache, void-filter bound) becomes an explicit receive handler
-        passed to
-        :meth:`~repro.network.simulator.Network.unicast_to_sink`; in
-        zero-delay mode it fires synchronously after the last hop,
-        byte-identical to the inline body.
         """
         network = self.network
         epoch = network.epoch
         filters_get = self.filters.get
         known = self.known
         unicast_to_sink = network.unicast_to_sink
-        use_events = eventsim.enabled()
         view = self._view
         ensure = view.ensure
         with network.stats.phase("monitor"):
@@ -305,17 +297,10 @@ class Fila:
                         and current[0] <= value <= current[1]):
                     ensure(node_id, current[0], current[1])
                     continue
-                message = FilterReportMessage(
-                    epoch=epoch,
-                    entries=(ViewEntry(node_id, value, 1),))
-                if use_events:
-                    def receive(node_id=node_id, value=value):
-                        known[node_id] = value
-                        ensure(node_id, value, value)
-
-                    unicast_to_sink(node_id, message, deliver=receive)
-                    continue
-                unicast_to_sink(node_id, message)
+                unicast_to_sink(
+                    node_id, FilterReportMessage(
+                        epoch=epoch,
+                        entries=(ViewEntry(node_id, value, 1),)))
                 known[node_id] = value
                 # The violating node's filter is void until reset;
                 # its value is exactly known this epoch.
@@ -334,9 +319,7 @@ class Fila:
         is not already the filter interval; every skipped row's visit
         is a proven no-op (see the helper's contract). Visited rows
         run the scalar body verbatim, so reports ship in the same
-        ascending-id order with the same bytes. The event core hands
-        the sink-side report handling to an explicit receive handler,
-        exactly as :meth:`_run_monitor_phase` does.
+        ascending-id order with the same bytes.
         """
         network = self.network
         epoch = network.epoch
@@ -346,7 +329,6 @@ class Fila:
         known_col = cols.known
         synced = cols.synced
         unicast_to_sink = network.unicast_to_sink
-        use_events = eventsim.enabled()
         view = self._view
         ensure = view.ensure
         with network.stats.phase("monitor"):
@@ -360,21 +342,13 @@ class Fila:
                     ensure(node_id, current[0], current[1])
                     synced[row] = True
                     continue
-                message = FilterReportMessage(
-                    epoch=epoch,
-                    entries=(ViewEntry(node_id, value, 1),))
-                if use_events:
-                    def receive(node_id=node_id, value=value, row=row):
-                        known[node_id] = value
-                        known_col[row] = value
-                        ensure(node_id, value, value)
-
-                    unicast_to_sink(node_id, message, deliver=receive)
-                else:
-                    unicast_to_sink(node_id, message)
-                    known[node_id] = value
-                    known_col[row] = value
-                    ensure(node_id, value, value)
+                unicast_to_sink(
+                    node_id, FilterReportMessage(
+                        epoch=epoch,
+                        entries=(ViewEntry(node_id, value, 1),)))
+                known[node_id] = value
+                known_col[row] = value
+                ensure(node_id, value, value)
                 synced[row] = False
         self._drop_stale_view_nodes(readings)
         return view.bounds

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from ..errors import ProtocolError, ValidationError
-from ..network import eventsim, hotpath
+from ..network import hotpath
 from ..network.messages import (
     ProbeReplyMessage,
     ProbeRequestMessage,
@@ -615,13 +615,6 @@ class Mint:
         identical messages, stats and answers. Fusing the pass removes
         five method calls and several intermediate containers per node
         per epoch, which dominates the epoch loop at fleet scale.
-
-        Under the event core the parent-side commit (cache updates,
-        sink dirty-marking) becomes an explicit receive handler passed
-        to :meth:`~repro.network.simulator.Network.post_unicast`; in
-        zero-delay mode the handler fires synchronously at the post
-        site, so the commit order — and every byte — matches the
-        inline branch below.
         """
         network = self.network
         states = self.states
@@ -638,7 +631,6 @@ class Mint:
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
-        post_unicast = network.post_unicast if eventsim.enabled() else None
         sink_id = network.sink_id
         sink_dirty = self._sink_dirty
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
@@ -686,20 +678,6 @@ class Mint:
                         retractions=retractions,
                     )
                     parent = parents[node_id]
-                    if post_unicast is not None:
-                        def commit(parent=parent, reported=reported,
-                                   changed=changed,
-                                   retractions=retractions):
-                            if parent == sink_id:
-                                sink_dirty.update(retractions)
-                                sink_dirty.update(g for g, _ in changed)
-                            for g in retractions:
-                                reported.pop(g, None)
-                            for g, p in changed:
-                                reported[g] = p
-
-                        post_unicast(node_id, parent, message, commit)
-                        continue
                     ship_unicast(node_id, parent, message)
                     if parent == sink_id:
                         sink_dirty.update(retractions)
@@ -782,26 +760,6 @@ class Mint:
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
-                if post_unicast is not None:
-                    def commit(node_id=node_id, parent=parent, state=state,
-                               reported=reported, changed=changed,
-                               retractions=retractions, gamma=gamma,
-                               ship_gamma=ship_gamma):
-                        if parent == sink_id:
-                            sink_dirty.update(retractions)
-                            sink_dirty.update(g for g, _ in changed)
-                            if ship_gamma:
-                                sink_dirty.update(
-                                    self.child_group_totals.get(node_id, ()))
-                        for group in retractions:
-                            reported.pop(group, None)
-                        for group, partial in changed:
-                            reported[group] = partial
-                        if ship_gamma:
-                            state.gamma_reported = gamma
-
-                    post_unicast(node_id, parent, message, commit)
-                    continue
                 ship_unicast(node_id, parent, message)
                 if parent == sink_id:
                     sink_dirty.update(retractions)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Hashable, Mapping
 
 from ..errors import ValidationError
-from ..network import eventsim, hotpath
+from ..network import hotpath
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
 from .aggregates import Aggregate, Partial, SortKeys
@@ -124,13 +124,6 @@ class Tag:
         — with the per-node containers, sort-key stringification and
         transport guards lifted out of the loop (the same fusion MINT's
         update phase applies; the equivalence property test covers it).
-
-        Under the event core the parent-side deposit (merging into the
-        sink view or parking the partial view for the parent's turn)
-        becomes an explicit receive handler passed to
-        :meth:`~repro.network.simulator.Network.post_unicast`; in
-        zero-delay mode the handler fires synchronously at the post
-        site, byte-identical to the inline deposit below.
         """
         network = self.network
         epoch = network.epoch
@@ -141,7 +134,6 @@ class Tag:
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
-        post_unicast = network.post_unicast if eventsim.enabled() else None
         sink_id = network.sink_id
         wire_key = lambda item: gstr[item[0]]  # noqa: E731  entry order
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
@@ -180,20 +172,6 @@ class Tag:
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
-                if post_unicast is not None:
-                    def deposit(node_id=node_id, parent=parent, view=view):
-                        if parent == sink_id:
-                            sink_get = sink_view.get
-                            for group, partial in view.items():
-                                existing = sink_get(group)
-                                sink_view[group] = (
-                                    partial if existing is None
-                                    else merge(existing, partial))
-                        else:
-                            partial_views[node_id] = view
-
-                    post_unicast(node_id, parent, message, deposit)
-                    continue
                 ship_unicast(node_id, parent, message)
                 if parent == sink_id:
                     sink_get = sink_view.get

@@ -26,7 +26,12 @@ observationally identical to the reference path — same counters, same
 per-phase snapshots, same RNG draws — which stays available as the
 oracle via :func:`repro.network.hotpath.reference_path`;
 ``tests/test_hotpath_equivalence.py`` proves the equivalence
-byte-for-byte.
+byte-for-byte. The second switch, the columnar kernel
+(:mod:`repro.network.columnar`), batches :meth:`Network.read_many`
+per board channel; its oracle is
+:func:`repro.network.columnar.scalar_path`, proved in the same suite.
+Messages always ship inline:
+a send charges its energy and counters in the caller's frame.
 
 Randomness is split into *per-purpose streams*: the packet-loss process
 draws from one seeded RNG, while churn-recovery handshakes (attach /
@@ -34,19 +39,6 @@ join control traffic) draw from a second stream derived from the same
 seed. Topology events therefore never perturb the loss outcomes of
 session traffic — a run with a churn schedule whose victims carry no
 query traffic sees byte-for-byte the same losses as a run without it.
-
-A third switch (:mod:`repro.network.eventsim`) replaces the inline
-ship calls with a discrete-event queue: :meth:`Network._ship_unicast`
-and friends *post* deliveries that fire from the queue. In zero-delay
-mode the queue drains synchronously at each post site, so ordering,
-counters and RNG draws are byte-identical to the inline path — the
-inline path stays in-tree as that mode's oracle
-(:func:`repro.network.eventsim.inline_ship`), and
-``tests/test_hotpath_equivalence.py::TestEventsimEquivalence`` holds
-the proof. Delay and partitioned modes defer transport accounting to
-timestamped events drained at the epoch barrier (churn-recovery
-handshakes always ship inline: repairs are synchronous tree surgery,
-not radio traffic racing an epoch).
 """
 
 from __future__ import annotations
@@ -57,7 +49,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import ConfigurationError, RoutingError, TopologyError
 from ..sensing.board import SensorBoard
-from . import columnar, eventsim, hotpath
+from . import columnar, hotpath
 from .energy import EnergyLedger, EnergyModel
 from .events import TopologyEvent, TopologyEventKind
 from .link import RadioModel
@@ -158,29 +150,6 @@ class Network:
         #: columnar kernel; epoch-stamped and id-tuple-keyed, so no
         #: invalidation hooks are needed (see ColumnarState).
         self._columnar = columnar.ColumnarState()
-        # ---- event-core state (third switch; see eventsim) ----
-        #: The deployment seed, kept for per-subtree stream derivation.
-        self._seed = seed
-        self._events = eventsim.EventQueue()
-        #: True while a queue drain is firing events: posted ships fall
-        #: through to the inline bodies instead of re-enqueueing.
-        self._draining = False
-        #: Events fired over the network's lifetime (the driver's
-        #: event-budget policy reads this).
-        self.events_processed = 0
-        #: Simulated radio time in seconds; only advances in delay /
-        #: partitioned mode (zero-delay stays at 0.0 forever).
-        self.sim_time_s = 0.0
-        self._epoch_start_s = 0.0
-        #: node id → earliest time its radio is free again (delay mode;
-        #: cleared at every real epoch advance).
-        self._node_ready: dict[int, float] = {}
-        #: Per-subtree event streams: sink-child root → (queue, loss
-        #: RNG). None while partitioning is off.
-        self._partitions: dict[int, tuple] | None = None
-        self._subtree_of: dict[int, int] = {}
-        self._subtree_tree: RoutingTree | None = None
-        self._subtree_version = -1
         for node in self.nodes.values():
             node.on_kill = self._on_node_killed
 
@@ -258,15 +227,9 @@ class Network:
 
         ``rng`` selects the randomness stream paying for this message's
         loss draws (default: the loss-process stream; churn recovery
-        passes its own stream so repairs never perturb session losses —
-        and recovery traffic always ships inline, bypassing the event
-        core, because repairs are synchronous tree surgery).
+        passes its own stream so repairs never perturb session losses).
         """
         receivers = tuple(receivers)
-        if (eventsim._enabled and hotpath._enabled and rng is None
-                and not self._draining):
-            self.post_ship(sender, receivers, message)
-            return
         hot = hotpath.enabled()
         cost = (fragment_cached(message.payload_bytes) if hot
                 else fragment(message.payload_bytes))
@@ -325,13 +288,6 @@ class Network:
         the receiver loop and the generic branching. Costs, energy and
         recorded counters are identical to :meth:`_ship`.
         """
-        # Direct _enabled reads, like the hotpath._enabled reads at hot
-        # call sites: this method is only reachable from hot-path
-        # branches, so the stacked eventsim.enabled() conjunction is
-        # already satisfied.
-        if eventsim._enabled and not self._draining:
-            self.post_unicast(sender, receiver, message)
-            return
         payload_bytes = message.payload_bytes
         if self.radio.loss_probability == 0.0:
             info = (self._cost_memo.get(payload_bytes)
@@ -382,9 +338,6 @@ class Network:
     def _ship_broadcast(self, sender: int, receivers: tuple[int, ...],
                         message: WireMessage) -> None:
         """Hot-path :meth:`_ship` for one lossless multi-receiver send."""
-        if eventsim._enabled and not self._draining:
-            self.post_broadcast(sender, receivers, message)
-            return
         payload_bytes = message.payload_bytes
         info = (self._cost_memo.get(payload_bytes)
                 or self._memo_cost(payload_bytes))
@@ -455,252 +408,6 @@ class Network:
             for sink in sinks:
                 sink.apply_batch(kind, batch[0], batch[1], batch[2],
                                  batch[3], batch[4])
-
-    # ------------------------------------------------------------------
-    # Event core (the eventsim switch)
-    # ------------------------------------------------------------------
-
-    def _deferred_mode(self) -> bool:
-        """True when posted events carry real timestamps and drain at
-        the epoch barrier instead of at the post site."""
-        return (self._partitions is not None
-                or self.radio.propagation_latency_s > 0.0)
-
-    def post_unicast(self, sender: int, receiver: int,
-                     message: WireMessage,
-                     deliver: Callable[[], None] | None = None) -> None:
-        """Enqueue one unicast delivery on the event core.
-
-        Zero-delay mode pushes the ship onto the queue and drains it
-        immediately, so accounting, RNG draws, handler effects and
-        exceptions happen in the exact inline order (the byte-identity
-        claim). Delay/partitioned mode runs ``deliver`` eagerly — the
-        per-epoch lookahead window that keeps engines on epoch
-        semantics — and defers the transport accounting to a
-        timestamped event drained at the epoch barrier.
-        """
-        if not self._deferred_mode():
-            def fire() -> None:
-                self._ship_unicast(sender, receiver, message)
-                if deliver is not None:
-                    deliver()
-
-            events = self._events
-            events.push(self.sim_time_s, receiver, fire)
-            self._drain_inline(events)
-            return
-        self._post_deferred(
-            sender, receiver, (receiver,), message,
-            lambda: self._ship_unicast(sender, receiver, message))
-        if deliver is not None:
-            deliver()
-
-    def post_broadcast(self, sender: int, receivers: tuple[int, ...],
-                       message: WireMessage,
-                       deliver: Callable[[], None] | None = None) -> None:
-        """Enqueue one lossless broadcast delivery (see
-        :meth:`post_unicast` for the mode semantics)."""
-        if not self._deferred_mode():
-            def fire() -> None:
-                self._ship_broadcast(sender, receivers, message)
-                if deliver is not None:
-                    deliver()
-
-            events = self._events
-            events.push(self.sim_time_s, sender, fire)
-            self._drain_inline(events)
-            return
-        self._post_deferred(
-            sender, sender, receivers, message,
-            lambda: self._ship_broadcast(sender, receivers, message))
-        if deliver is not None:
-            deliver()
-
-    def post_ship(self, sender: int, receivers: tuple[int, ...],
-                  message: WireMessage) -> None:
-        """Enqueue one generic (possibly lossy) multi-receiver send."""
-        if not self._deferred_mode():
-            events = self._events
-            events.push(self.sim_time_s, sender,
-                        lambda: self._ship(sender, receivers, message))
-            self._drain_inline(events)
-            return
-        self._post_deferred(
-            sender, sender, receivers, message,
-            lambda: self._ship(sender, receivers, message))
-
-    def _post_deferred(self, sender: int, event_node: int,
-                       receivers: tuple[int, ...], message: WireMessage,
-                       ship: Callable[[], None]) -> None:
-        """Timestamp and enqueue one delivery for the barrier drain.
-
-        The arrival time is the sender's channel-free time plus the
-        message's nominal (no-retry) airtime plus the radio's
-        propagation latency; the sender's channel then stays busy for
-        the airtime and each receiver cannot transmit before the
-        arrival. The stats phase open at the post site is captured and
-        replayed around the deferred accounting, so by_phase
-        attribution survives the deferral.
-        """
-        payload_bytes = message.payload_bytes
-        info = (self._cost_memo.get(payload_bytes)
-                or self._memo_cost(payload_bytes))
-        air_seconds = self.radio.airtime_seconds(info[1])
-        ready = self._node_ready
-        start = self._epoch_start_s
-        send_at = ready.get(sender, start)
-        arrival = send_at + air_seconds + self.radio.propagation_latency_s
-        ready[sender] = send_at + air_seconds
-        for receiver in receivers:
-            prior = ready.get(receiver, start)
-            if arrival > prior:
-                ready[receiver] = arrival
-        stack = self.stats._phase_stack
-        phase_name = stack[-1][0] if stack else None
-
-        def fire() -> None:
-            if phase_name is None:
-                ship()
-            else:
-                with self.stats.phase(phase_name):
-                    ship()
-
-        if self._partitions is not None:
-            queue = self._partition_for(self._subtree_root(sender))[0]
-        else:
-            queue = self._events
-        queue.push(arrival, event_node, fire)
-
-    def _drain_inline(self, events: eventsim.EventQueue) -> None:
-        """Zero-delay drain: fire every queued event synchronously at
-        the post site. Fires run with ``_draining`` set, so nested
-        ships (a handler shipping onward) take the inline bodies
-        directly — the exact inline call order. Exceptions (lossy-link
-        :class:`RoutingError`) propagate to the post site, as inline.
-        """
-        self._draining = True
-        try:
-            while events:
-                event = events.pop()
-                self.events_processed += 1
-                event.fire()
-        finally:
-            self._draining = False
-
-    def _drain_queue(self, events: eventsim.EventQueue) -> None:
-        """Barrier drain of one deferred queue, in timestamp order.
-
-        A deferred lossy delivery whose retry budget exhausts raises
-        :class:`RoutingError` with the sender's frame long gone; the
-        drop was already recorded inside the ship body, so the event is
-        absorbed here (a documented delay-mode divergence — the inline
-        path surfaces the drop to the sender).
-        """
-        last = self.sim_time_s
-        while events:
-            event = events.pop()
-            self.events_processed += 1
-            if event.time > last:
-                last = event.time
-            try:
-                event.fire()
-            except RoutingError:
-                pass
-        self.sim_time_s = last
-
-    def _drain_deferred_events(self) -> None:
-        """Drain every deferred event stream (the epoch barrier).
-
-        Partitioned mode drains subtree streams in sorted-root order,
-        each under its own loss-RNG stream and into its own stats
-        batch; the batches merge afterwards in that same order, so any
-        partition layout yields one deterministic ledger.
-        """
-        if self._events:
-            self._draining = True
-            try:
-                self._drain_queue(self._events)
-            finally:
-                self._draining = False
-        partitions = self._partitions
-        if partitions is None:
-            return
-        session_rng = self._rng
-        inline_pending = self._pending_traffic
-        batches: list[dict[str, list]] = []
-        self._draining = True
-        try:
-            for root in sorted(partitions):
-                queue, rng = partitions[root]
-                if not queue:
-                    continue
-                self._pending_traffic = {}
-                self._rng = rng
-                self._drain_queue(queue)
-                batches.append(self._pending_traffic)
-        finally:
-            self._draining = False
-            self._rng = session_rng
-            self._pending_traffic = inline_pending
-            for batch_map in batches:
-                for kind, counts in batch_map.items():
-                    batch = inline_pending.get(kind)
-                    if batch is None:
-                        inline_pending[kind] = counts
-                    else:
-                        for index in range(5):
-                            batch[index] += counts[index]
-
-    def _drain_events_at_barrier(self) -> None:
-        """Cheap barrier hook: drain only when something is queued
-        (zero-delay mode never leaves the queues non-empty)."""
-        if self._events or self._partitions is not None:
-            self._drain_deferred_events()
-
-    def enable_subtree_partitioning(self, enabled: bool = True) -> None:
-        """Give each sink-child subtree an independent event stream.
-
-        Requires the event core (:mod:`repro.network.eventsim`). Every
-        subtree gets its own queue and its own loss-RNG stream
-        (``parallel.derive_seed(seed, "subtree", root)``), so one
-        subtree's traffic never perturbs another's draws — the
-        stream-identity property that lets worker processes each
-        simulate one subtree and reproduce the full run's per-subtree
-        results exactly. Deliveries defer to the epoch barrier even at
-        zero latency; this mode is deliberately *not* byte-identical to
-        the inline path (one global loss stream cannot be split), its
-        claim is determinism at any partition layout.
-        """
-        self._drain_events_at_barrier()
-        self._partitions = {} if enabled else None
-
-    def _partition_for(self, root: int) -> tuple:
-        entry = self._partitions.get(root)
-        if entry is None:
-            # repro: allow[layer-dag] -- deliberate back-edge: per-subtree loss streams reuse parallel.derive_seed so partition streams match the executor's identity-keyed derivation; imported lazily, only when partitioning is on
-            from ..parallel import derive_seed
-
-            entry = self._partitions[root] = (
-                eventsim.EventQueue(),
-                random.Random(derive_seed(self._seed, "subtree", root)),
-            )
-        return entry
-
-    def _subtree_root(self, node_id: int) -> int:
-        """The sink child whose subtree contains ``node_id`` (the sink
-        itself maps to its own id — sink-originated dissemination is
-        one stream of its own)."""
-        if (self._subtree_tree is not self.tree
-                or self._subtree_version != self._topo_version):
-            self._subtree_of.clear()
-            self._subtree_tree = self.tree
-            self._subtree_version = self._topo_version
-        root = self._subtree_of.get(node_id)
-        if root is None:
-            path = self.tree.path_to_root(node_id)
-            root = path[-2] if len(path) > 1 else node_id
-            self._subtree_of[node_id] = root
-        return root
 
     def send_up(self, child: int, message: WireMessage) -> int:
         """Unicast from ``child`` to its tree parent; returns the parent id."""
@@ -780,15 +487,12 @@ class Network:
                 sends += 1
         return sends
 
-    def unicast_to_sink(self, origin: int, message: WireMessage,
-                        deliver: Callable[[], None] | None = None) -> int:
+    def unicast_to_sink(self, origin: int, message: WireMessage) -> int:
         """Relay hop-by-hop from ``origin`` to the sink, no merging.
 
         Flat protocols (TPUT, FILA reports) route through the tree but
         do not aggregate, so the same logical message pays transmit and
         receive at every hop. Returns the number of hops charged.
-        ``deliver`` — the sink-side receive handler under the event
-        core — runs once after the last hop ships.
         """
         hops = 0
         if hotpath.enabled():
@@ -796,14 +500,10 @@ class Network:
             for node_id, parent in zip(path, path[1:]):
                 self._ship_unicast(node_id, parent, message)
                 hops += 1
-            if deliver is not None:
-                deliver()
             return hops
         for node_id in self.tree.path_to_root(origin)[:-1]:
             self._ship(node_id, (self.tree.parent(node_id),), message)
             hops += 1
-        if deliver is not None:
-            deliver()
         return hops
 
     def unicast_from_sink(self, target: int, message: WireMessage) -> int:
@@ -1006,14 +706,7 @@ class Network:
         the request is latched and one real advance happens when the
         outermost block exits. That lets N query sessions each "finish
         their epoch" while the deployment's clock ticks exactly once.
-
-        Under the event core this is the epoch barrier: deferred
-        (delay/partitioned) event streams drain here *before* the latch
-        check, so a latched advance inside :meth:`shared_epoch`
-        coalesces identically whether its traffic shipped inline or
-        arrived as events.
         """
-        self._drain_events_at_barrier()
         self._flush_traffic()
         if self._clock_holds:
             self._advance_requested = True
@@ -1023,9 +716,6 @@ class Network:
         for node_id in self.alive_sensor_ids():
             nodes[node_id].ledger.idle += idle
         self.epoch += 1
-        if self._node_ready:
-            self._node_ready.clear()
-        self._epoch_start_s = self.sim_time_s
         return self.epoch
 
     @contextmanager
@@ -1058,17 +748,12 @@ class Network:
         # Whatever is pending was recorded before the tap existed; fold
         # it in now so the tap sees only the block's traffic, and give
         # the tap the drain hook so reads inside the block stay exact.
-        # Deferred event streams are a tap boundary too: pre-tap posts
-        # drain before registration, the block's posts drain before
-        # unregistration, so the tap's attribution matches inline.
-        self._drain_events_at_barrier()
         self._flush_traffic()
         self._stat_taps.append(stats)
         stats._drain_hook = self._flush_traffic
         try:
             yield stats
         finally:
-            self._drain_events_at_barrier()
             self._flush_traffic()
             stats._drain_hook = None
             # Unregister by identity: list.remove() would match any

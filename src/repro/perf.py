@@ -30,24 +30,18 @@ final aggregate-throughput section then drives ``jobs`` independent
 deployments simultaneously and prices the machine's horizontal
 capacity (total epochs/sec across all workers).
 
-Three microbench sections ride every ladder run: ``certifier``
+Two microbench sections ride every ladder run: ``certifier``
 (:func:`measure_certifier` — cold ``certify_top_k`` replay vs the
-incremental :class:`~repro.core.delta.TopKView`), ``columnar``
+incremental :class:`~repro.core.delta.TopKView`) and ``columnar``
 (:func:`measure_columnar` — the structure-of-arrays sensing kernel of
 :mod:`repro.network.columnar` vs the scalar hot path, equivalence
-asserted on the measured workload before timing) and ``eventsim``
-(:func:`measure_eventsim` — the discrete-event shipping core of
-:mod:`repro.network.eventsim` vs the inline ship path, zero-delay
-byte-identity asserted before timing, plus a partitioned per-subtree
-throughput section that shards one deployment's replicas across
-worker processes). All are gated by
+asserted on the measured workload before timing). Both are gated by
 ``benchmarks/check_perf_regression.py`` against the committed
 trajectory. The harness only *times* the switches it flips: the
 hot-vs-oracle equivalence itself is owned by
 ``tests/test_hotpath_equivalence.py`` and
 ``tests/test_delta_equivalence.py``, with ``reference_path()`` /
-``scalar_path()`` / ``inline_ship()`` restoring the unoptimized
-semantics.
+``scalar_path()`` restoring the unoptimized semantics.
 """
 
 from __future__ import annotations
@@ -80,11 +74,11 @@ from .sensing.generators import RoomField
 #: /4: the columnar microbench section (structure-of-arrays sensing
 #: kernel vs the scalar hot path on a Zipf-field FILA workload; see
 #: :func:`measure_columnar`).
-#: /5: the eventsim microbench section (the event-queue shipping core
-#: vs the inline ship path on the same Zipf-field FILA workload, plus
-#: the partitioned per-subtree throughput section; see
-#: :func:`measure_eventsim`).
-SCHEMA = "kspot-perf/5"
+#: /5: a discrete-event shipping-core microbench section (event queue
+#: vs the inline ship path).
+#: /6: that section removed together with the event core, which never
+#: paid for itself end to end; the inline ship path is the only one.
+SCHEMA = "kspot-perf/6"
 
 #: The e11 workload: four concurrent monitoring queries ranking rooms
 #: by different aggregates plus one historic TJA pass.
@@ -258,8 +252,6 @@ class PerfReport:
     certifier: dict | None = None
     #: The columnar microbench section (see :func:`measure_columnar`).
     columnar: dict | None = None
-    #: The eventsim microbench section (see :func:`measure_eventsim`).
-    eventsim: dict | None = None
 
     def sample_for(self, n_nodes: int) -> PerfSample | None:
         for sample in self.samples:
@@ -293,7 +285,6 @@ class PerfReport:
             "shard_errors": list(self.shard_errors),
             "certifier": self.certifier,
             "columnar": self.columnar,
-            "eventsim": self.eventsim,
         }
 
     def write(self, path: str | Path) -> Path:
@@ -719,204 +710,6 @@ def measure_columnar(n: int = 400, chunks: int = 20,
     }
 
 
-@dataclass(frozen=True)
-class _EventsimSpec:
-    """One eventsim-microbench drive: the columnar-fleet workload on
-    the event core, optionally subtree-partitioned. The worker must
-    re-assert the eventsim switch itself — :class:`ShardPool` only
-    re-asserts the hot-path switch in spawned interpreters."""
-
-    n: int
-    epochs: int
-    seed: int
-    partitioned: bool
-
-
-def _eventsim_run(spec: _EventsimSpec) -> dict:
-    """Drive one event-core deployment end to end (module-level: the
-    spawn contract); returns the run's full observable signature
-    (result stream, energy joules, sample count, message and event
-    totals, partition roots) plus the in-worker epoch-loop wall clock
-    — ``signature`` is what the cross-process determinism proof
-    compares, ``seconds`` is what the throughput section prices."""
-    from .network import eventsim
-
-    session, network = columnar_fleet(spec.n, seed=spec.seed)
-    with eventsim.event_core():
-        if spec.partitioned:
-            network.enable_subtree_partitioning()
-        results = []
-        gc.collect()
-        started = time.perf_counter()
-        for _ in range(spec.epochs):
-            r = session.run_epoch()
-            results.append((r.epoch,
-                            tuple((item.key, item.score, item.lb, item.ub)
-                                  for item in r.items),
-                            r.exact))
-        seconds = time.perf_counter() - started
-    return {
-        "signature": {
-            "results": results,
-            "joules": sum(node.ledger.total
-                          for node in network.nodes.values()),
-            "samples": sum(node.samples_taken
-                           for node in network.nodes.values()),
-            "messages": network.stats.messages,
-            "events": network.events_processed,
-            "partitions": sorted(network._partitions or ()),
-        },
-        "seconds": seconds,
-    }
-
-
-def measure_eventsim(n: int = 400, chunks: int = 20,
-                     chunk_epochs: int = 10, seed: int = 11,
-                     check_epochs: int = 30,
-                     jobs: int | None = None) -> dict:
-    """Event-queue shipping core vs the inline ship path on the
-    Zipf-FILA workload of :func:`columnar_fleet`.
-
-    Equivalence first, timing second — the switch-and-prove
-    discipline, in two layers:
-
-    * **Zero-delay byte-identity**: both modes drive ``check_epochs``
-      epochs on fresh deployments and must produce byte-identical
-      result streams, energy-ledger joules and sample counts, or this
-      raises instead of timing. The interleaved chunked-min timing then
-      prices the event core's queue overhead: ``speedup`` is the
-      event-core over inline epochs/sec ratio (expected a little below
-      1.0 — the number the regression gate watches for drops).
-    * **Cross-process determinism**: the partitioned section first
-      proves a spawned worker's subtree-partitioned run signature
-      (results, joules, samples, messages, events, partition roots)
-      equal to the same run executed in-process, then prices
-      horizontal capacity — ``jobs`` workers each driving an
-      independent partitioned replica (distinct derived seeds), total
-      epochs/sec over the in-process serial figure
-      (``partition_speedup``; build and spawn overhead included, the
-      honest lower bound ``bench_e17_eventsim`` gates with
-      CPU-count-aware tiers).
-    """
-    from .network import eventsim
-    from .parallel import ShardPool, derive_seed, resolve_jobs
-
-    def stream(event_core: bool):
-        session, network = columnar_fleet(n, seed=seed)
-        results = []
-
-        def drive():
-            for _ in range(check_epochs):
-                r = session.run_epoch()
-                results.append((r.epoch, tuple(r.items), r.exact,
-                                dict(r.all_bounds)))
-
-        if event_core:
-            with eventsim.event_core():
-                drive()
-        else:
-            with eventsim.inline_ship():
-                drive()
-        joules = sum(node.ledger.total
-                     for node in network.nodes.values())
-        samples = sum(node.samples_taken
-                      for node in network.nodes.values())
-        return results, joules, samples
-
-    if stream(event_core=True) != stream(event_core=False):
-        raise RuntimeError(
-            "event core diverged from the inline ship path")
-
-    ev_session, ev_network = columnar_fleet(n, seed=seed)
-    ref_session, _ = columnar_fleet(n, seed=seed)
-    with eventsim.event_core():
-        ev_session.run(WARMUP_EPOCHS)
-    with eventsim.inline_ship():
-        ref_session.run(WARMUP_EPOCHS)
-    ev_chunks: list[float] = []
-    ref_chunks: list[float] = []
-    for _ in range(chunks):
-        gc.collect()
-        with eventsim.event_core():
-            started = time.perf_counter()
-            for _ in range(chunk_epochs):
-                ev_session.run_epoch()
-            ev_chunks.append(time.perf_counter() - started)
-        with eventsim.inline_ship():
-            started = time.perf_counter()
-            for _ in range(chunk_epochs):
-                ref_session.run_epoch()
-            ref_chunks.append(time.perf_counter() - started)
-    ev, ref = min(ev_chunks), min(ref_chunks)
-    epochs_driven = WARMUP_EPOCHS + chunks * chunk_epochs
-
-    # --- partitioned per-subtree section -----------------------------
-    workers = (jobs if jobs is not None and jobs > 1
-               else min(4, resolve_jobs(None)))
-    part_epochs = chunk_epochs * 2
-    base_spec = _EventsimSpec(n=n, epochs=part_epochs, seed=seed,
-                              partitioned=True)
-    serial = _eventsim_run(base_spec)
-    serial_eps = (part_epochs / serial["seconds"]
-                  if serial["seconds"] else 0.0)
-    with ShardPool(jobs=workers) as pool:
-        workers = pool.jobs
-        proof = pool.map_shards(_eventsim_run, [base_spec],
-                                keys=["eventsim-proof"])[0]
-        if not proof.ok:
-            raise RuntimeError(
-                f"partitioned worker shard failed:\n{proof.error}")
-        if proof.payload["signature"] != serial["signature"]:
-            raise RuntimeError(
-                "partitioned worker run diverged from the in-process run")
-        specs = [
-            _EventsimSpec(n=n, epochs=part_epochs,
-                          seed=derive_seed(seed, "eventsim", index),
-                          partitioned=True)
-            for index in range(workers)
-        ]
-        started = time.perf_counter()
-        shard_results = pool.map_shards(
-            _eventsim_run, specs,
-            keys=[f"eventsim-{index}" for index in range(workers)])
-        wall = time.perf_counter() - started
-    failed = [result for result in shard_results if not result.ok]
-    if failed:
-        raise RuntimeError(
-            f"partitioned throughput shard failed:\n{failed[0].error}")
-    epochs_total = part_epochs * len(shard_results)
-    aggregate_eps = epochs_total / wall if wall else 0.0
-    return {
-        "workload": "fila-zipf-eventsim",
-        "n_nodes": max(2, math.isqrt(n)) ** 2,
-        "sessions": 1,
-        "seed": seed,
-        "chunks": chunks,
-        "chunk_epochs": chunk_epochs,
-        "check_epochs": check_epochs,
-        "event_chunk_seconds": ev,
-        "inline_chunk_seconds": ref,
-        "epochs_per_sec_event": chunk_epochs / ev if ev else 0.0,
-        "epochs_per_sec_inline": chunk_epochs / ref if ref else 0.0,
-        "events_per_epoch": ev_network.events_processed / epochs_driven,
-        "speedup": ref / ev if ev else 0.0,
-        "partitioned": {
-            "jobs": workers,
-            "cpus": os.cpu_count(),
-            "partitions": len(serial["signature"]["partitions"]),
-            "epochs_per_shard": part_epochs,
-            "epochs_total": epochs_total,
-            "wall_seconds": wall,
-            "epochs_per_sec": aggregate_eps,
-            "serial_epochs_per_sec": serial_eps,
-            "partition_speedup": (aggregate_eps / serial_eps
-                                  if serial_eps else 0.0),
-            "events_per_epoch": (serial["signature"]["events"]
-                                 / part_epochs),
-        },
-    }
-
-
 def run_perf(sizes: Sequence[int] = FLEET_SIZES,
              repeats: int = 3, seed: int = 11,
              churn: str | None = None, churn_seed: int = 0,
@@ -996,12 +789,4 @@ def run_perf(sizes: Sequence[int] = FLEET_SIZES,
     # Zipf-field FILA workload (equivalence asserted before timing).
     report.columnar = measure_columnar(
         n=certifier_n, chunks=6 if quick else 20, seed=seed)
-    # The eventsim microbench completes the switch stack at the same
-    # anchor: the event-queue shipping core vs the inline path
-    # (zero-delay byte-identity asserted before timing), plus the
-    # partitioned per-subtree throughput section, sharded across the
-    # run's --jobs workers (capped default on serial runs).
-    report.eventsim = measure_eventsim(
-        n=certifier_n, chunks=6 if quick else 20, seed=seed,
-        jobs=jobs if jobs > 1 else None)
     return report

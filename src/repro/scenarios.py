@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Hashable
 
+from .errors import ConfigurationError, TopologyError
 from .network.simulator import Network
 from .network.topology import RoomSpec, Topology, room_topology
 from .network.tree import RoutingTree
@@ -163,20 +164,19 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
                         attribute: str = "sound",
                         room_step: float = 4.0,
                         sensor_sigma: float = 1.5,
-                        radio_factor: float = 1.5,
-                        hash_gauss: bool = False) -> Scenario:
+                        radio_factor: float = 1.5) -> Scenario:
     """A ``side × side`` grid partitioned into square rooms.
 
     The standard scaling layout (E2/E3/E4/E9): ``rooms_per_axis²``
     rooms, each covering a block of the grid. ``skew > 0`` switches the
     field to Zipf-distributed room loudness, concentrating activity in
-    a few rooms. ``hash_gauss=True`` opts the room field into the
-    hash-based Box–Muller noise stream (vectorizable; a deliberate RNG
-    break from the default Mersenne cells — see
-    :class:`~repro.sensing.generators.RoomField`).
+    a few rooms.
     """
     from .network.topology import grid_topology
 
+    if rooms_per_axis < 1:
+        raise ConfigurationError(
+            f"rooms_per_axis must be at least 1, got {rooms_per_axis}")
     spacing = 10.0
     topology = grid_topology(side, spacing=spacing,
                              radio_range=spacing * radio_factor)
@@ -194,8 +194,7 @@ def grid_rooms_scenario(side: int = 8, rooms_per_axis: int = 4,
             room_of, lo=0.0, hi=100.0, skew=skew, jitter=5.0, seed=seed)
     else:
         field = RoomField(room_of, lo=0.0, hi=100.0, room_step=room_step,
-                          sensor_sigma=sensor_sigma, seed=seed,
-                          hash_gauss=hash_gauss)
+                          sensor_sigma=sensor_sigma, seed=seed)
     network = Network(
         topology,
         boards=_boards_for(room_of, attribute, field),
@@ -233,8 +232,6 @@ def preset_churn(topology, epochs: int, preset: str = "lively",
     try:
         death_rate, birth_rate = CHURN_PRESETS[preset]
     except KeyError:
-        from .errors import ConfigurationError
-
         raise ConfigurationError(
             f"unknown churn preset {preset!r}; "
             f"choose from {sorted(CHURN_PRESETS)}"
@@ -271,8 +268,6 @@ def random_rooms_scenario(rooms: int = 6, sensors_per_room: int = 3,
     the default radio range; those redraw deterministically (advancing
     the placement seed) until a connected layout appears.
     """
-    from .errors import TopologyError
-
     rng = random.Random(seed)
     specs = []
     for index in range(rooms):

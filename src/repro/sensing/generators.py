@@ -10,6 +10,12 @@ read at epoch ``epoch``? Generators are composable (see
 :class:`RoomField`, which layers per-room baselines, room random walks
 and per-node noise, reproducing the "rooms with active discussions"
 scenario of the paper's Figure 1).
+
+Per-cell randomness comes from one of two sources: a seeded Mersenne
+cell (:func:`_rng_for`), which carries the Gaussian sensor noise, and a
+counter-based hash (:func:`_cell_hash01`), which carries uniform
+jitter and vectorizes over a whole column. Batch paths reproduce the
+scalar bytes of either source exactly.
 """
 
 from __future__ import annotations
@@ -359,35 +365,19 @@ class RoomField(ClusterField):
     the room level plus small per-sensor Gaussian noise. This is the
     synthetic stand-in for the paper's "rooms with the most active
     discussions" demo scenario.
-
-    Two noise derivations exist. The default keeps the historical
-    per-cell Mersenne ``gauss`` stream (bytes pinned by every committed
-    artifact). ``hash_gauss=True`` switches the noise to a hash-based
-    Box–Muller pair: two counter-based uniforms per cell (the
-    :func:`_cell_hash01` family, at two stream offsets), transformed
-    scalar-wise so the scalar and batch paths stay byte-identical to
-    *each other* while the column of uniforms vectorizes. This is a
-    **deliberate RNG stream break** versus the default — same
-    distribution, different bytes — so it is opt-in per scenario and
-    documented in ``docs/ARCHITECTURE.md``'s RNG rules.
     """
 
     #: The per-cell noise RNG stream offset (distinct per field kind).
     _STREAM = 0xB00
-    #: Second hash stream: the Box–Muller pair's other uniform
-    #: (hash_gauss mode only).
-    _STREAM2 = 0xB01
 
     def __init__(self, room_of: Mapping[int, str | int], lo: float = 0.0,
                  hi: float = 100.0, room_step: float = 4.0,
-                 sensor_sigma: float = 1.5, seed: int = 0,
-                 hash_gauss: bool = False):
+                 sensor_sigma: float = 1.5, seed: int = 0):
         self._cluster_of = dict(room_of)
         self._sigma = sensor_sigma
         self._lo = lo
         self._hi = hi
         self._seed = seed
-        self._hash_gauss = bool(hash_gauss)
         rooms = sorted(set(self._cluster_of.values()), key=str)
         rng = random.Random(seed)
         self._room_walks = {
@@ -406,69 +396,20 @@ class RoomField(ClusterField):
         """Ground-truth activity level of a room at an epoch."""
         return self._room_walks[room].value(0, epoch)
 
-    def _hash_noise(self, node_id: int, epoch: int) -> float:
-        """One hash-gauss noise draw: Box–Muller over the cell's two
-        counter-based uniforms. ``1 - u1`` keeps the log argument in
-        ``(0, 1]`` (``u1`` never reaches 1.0)."""
-        u1 = _cell_hash01(self._seed ^ self._STREAM, node_id, epoch)
-        u2 = _cell_hash01(self._seed ^ self._STREAM2, node_id, epoch)
-        return self._sigma * math.sqrt(-2.0 * math.log(1.0 - u1)) \
-            * math.cos(2.0 * math.pi * u2)
-
     def value(self, node_id: int, epoch: int) -> float:
         room = self._cluster_of.get(node_id)
         if room is None:
             return self._lo
         level = self.room_level(room, epoch)
-        if self._hash_gauss:
-            noise = self._hash_noise(node_id, epoch)
-        else:
-            noise = _rng_for(self._seed ^ self._STREAM, node_id, epoch).gauss(
-                0.0, self._sigma)
+        noise = _rng_for(self._seed ^ self._STREAM, node_id, epoch).gauss(
+            0.0, self._sigma)
         return min(self._hi, max(self._lo, level + noise))
-
-    def _batch_hash_gauss(self, node_ids: Sequence[int], epoch: int
-                          ) -> list[float]:
-        """The hash-gauss batch: both uniform columns hashed whole
-        (:func:`repro.network.columnar.hash01_column`, bit-identical to
-        the scalar hash by construction); the Box–Muller transform
-        stays scalar because numpy's ``log``/``cos`` are not
-        bit-identical to libm's."""
-        # repro: allow[layer-dag] -- column backend lives beside its switch in network/columnar, same contract as batch_values
-        from ..network import columnar
-
-        cluster_of = self._cluster_of
-        lo = self._lo
-        sigma = self._sigma
-        levels: dict = {}
-        u1 = columnar.hash01_column(self._seed ^ self._STREAM,
-                                    node_ids, epoch)
-        u2 = columnar.hash01_column(self._seed ^ self._STREAM2,
-                                    node_ids, epoch)
-        log, cos, sqrt = math.log, math.cos, math.sqrt
-        two_pi = 2.0 * math.pi
-        raw: list[float] = []
-        for row, node_id in enumerate(node_ids):
-            room = cluster_of.get(node_id)
-            if room is None:
-                raw.append(lo)
-                continue
-            level = levels.get(room)
-            if level is None:
-                level = levels[room] = self.room_level(room, epoch)
-            raw.append(level + sigma * sqrt(-2.0 * log(1.0 - u1[row]))
-                       * cos(two_pi * u2[row]))
-        return columnar.clamp_values(raw, lo, self._hi)
 
     def batch_values(self, node_ids: Sequence[int], epoch: int
                      ) -> list[float]:
         """Batch :meth:`value`: room levels resolved once per room,
         one reused per-cell RNG for the sensor noise, clamp vectorized
-        over the column (byte-identical; see base class). In
-        ``hash_gauss`` mode the uniform columns are hashed whole
-        instead (see :meth:`_batch_hash_gauss`)."""
-        if self._hash_gauss:
-            return self._batch_hash_gauss(node_ids, epoch)
+        over the column (byte-identical; see base class)."""
         # repro: allow[layer-dag] -- column backend lives beside its switch in network/columnar, same contract as ZipfEventField.batch_values
         from ..network import columnar
 

@@ -2,7 +2,7 @@
 
 The paper's base station serves *many* users' top-k queries over one
 sensor deployment. A :class:`QuerySession` is the per-user execution
-context the :class:`~repro.server.server.KSpotServer` keeps in its
+context a :class:`~repro.api.Deployment` keeps in its session
 registry: the compiled plan, the engine instance (with its own view /
 filter state), the session's share of the network traffic, an optional
 shadow-baseline engine feeding a per-session System Panel, and the
@@ -21,7 +21,7 @@ Two execution shapes exist, matching the plan's query class:
   sessions already paid for.
 
 Sessions never drive the deployment clock directly. Their engines call
-``network.advance_epoch()`` as always; when the server steps several
+``network.advance_epoch()`` as always; when the driver steps several
 sessions inside ``network.shared_epoch()`` those calls coalesce into a
 single real tick, so each sensor board samples exactly once per epoch
 no matter how many sessions consume the reading.
@@ -29,7 +29,7 @@ no matter how many sessions consume the reading.
 **Churn recovery.** Live sessions survive node failures and joins via
 a four-step protocol rather than a restart:
 
-1. *detect* — the server forwards every
+1. *detect* — the deployment forwards every
    :class:`~repro.network.events.TopologyEvent` the network publishes
    to each live session, which queues it;
 2. *quiesce* — at the next step, before any acquisition, the session
@@ -79,7 +79,7 @@ class QuerySession:
                  baseline_engine: "KSpotEngine | None" = None,
                  display: "DisplayPanel | None" = None):
         """Args:
-            session_id: Registry key assigned by the server.
+            session_id: Registry key assigned by the deployment.
             network: The shared deployment the engine runs on.
             plan: The compiled logical plan.
             engine: The engine executing the plan.
@@ -279,7 +279,7 @@ class QuerySession:
         return self.historic_result
 
     def cancel(self) -> None:
-        """Deactivate the session; the server stops stepping it."""
+        """Deactivate the session; the driver stops stepping it."""
         self.active = False
 
     def __repr__(self) -> str:

@@ -366,6 +366,15 @@ class TestDriverPolicies:
         with pytest.raises(ConfigurationError, match="unbounded"):
             driver.stream()
 
+    def test_negative_epoch_count_rejected(self):
+        _, deployment, driver = fresh()
+        deployment.submit(MONITOR)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            driver.run(-3)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            driver.stream(-3)
+        assert driver.epochs_driven == 0
+
     def test_unbounded_run_without_idle_stop_rejected(self):
         _, deployment, _ = fresh()
         driver = EpochDriver(deployment, stop_when_idle=False)

@@ -154,6 +154,18 @@ class TestWorkload:
         assert main(["workload", empty]) == 2
         assert "contains no queries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rooms", "0"], "rooms_per_axis must be at least 1"),
+        (["--rooms", "-2"], "rooms_per_axis must be at least 1"),
+        (["--rooms", "2", "--epochs", "-3"],
+         "epoch count must be non-negative"),
+    ])
+    def test_malformed_numbers_are_clean_errors(self, tmp_path, capsys,
+                                                flags, message):
+        path = self._write(tmp_path, self.MIXED)
+        assert main(["workload", path, "--side", "4", *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestJsonFormat:
     """--format json: machine-readable results that round-trip."""

@@ -54,7 +54,7 @@ class TestMeasurement:
         report = run_perf(sizes=(9,), repeats=1,
                           epochs_for={9: 3})
         data = report.as_dict()
-        assert data["schema"] == SCHEMA == "kspot-perf/5"
+        assert data["schema"] == SCHEMA == "kspot-perf/6"
         assert data["workload"] == "e11-multiquery"
         assert len(data["queries"]) == 5
         assert data["platform"]["cpu_count"] >= 1
@@ -75,16 +75,6 @@ class TestMeasurement:
         assert col["backend"] in ("numpy", "python")
         assert col["speedup"] > 0
         assert col["epochs_per_sec_columnar"] > 0
-        # And the eventsim microbench (kspot-perf/5): zero-delay
-        # byte-identity plus the cross-process partitioned signature
-        # proof both run inside measure_eventsim before timing.
-        ev = data["eventsim"]
-        assert ev["n_nodes"] == 9
-        assert ev["speedup"] > 0
-        assert ev["epochs_per_sec_event"] > 0
-        assert ev["events_per_epoch"] > 0
-        assert ev["partitioned"]["partitions"] >= 1
-        assert ev["partitioned"]["epochs_per_sec"] > 0
         (sample,) = data["results"]
         assert sample["n_nodes"] == 9
         assert sample["epochs"] == 3
@@ -362,59 +352,15 @@ class TestRegressionGate:
                 tmp_path, gate, fresh=None,
                 committed={"n_nodes": 400, "speedup": 2.2})
 
-    def _run_eventsim_gate(self, tmp_path, gate, fresh, committed):
-        report = tmp_path / "BENCH_perf.json"
-        payload = self._report(2.0)
-        if fresh is not None:
-            payload["eventsim"] = fresh
-        report.write_text(json.dumps(payload))
-        trajectory = tmp_path / "trajectory.json"
-        committed_payload = self._report(2.0)
-        if committed is not None:
-            committed_payload["eventsim"] = committed
-        trajectory.write_text(json.dumps(committed_payload))
-        return gate.main([str(report), "--trajectory", str(trajectory)])
-
-    def test_eventsim_within_tolerance_passes(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_eventsim_gate(
-            tmp_path, gate,
-            fresh={"n_nodes": 400, "speedup": 0.95},
-            committed={"n_nodes": 400, "speedup": 1.0}) == 0
-
-    def test_eventsim_regression_fails(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_eventsim_gate(
-            tmp_path, gate,
-            fresh={"n_nodes": 400, "speedup": 0.5},
-            committed={"n_nodes": 400, "speedup": 1.0}) == 1
-
-    def test_eventsim_absent_from_trajectory_skips(self, tmp_path):
-        gate = self._load_gate()
-        assert self._run_eventsim_gate(
-            tmp_path, gate,
-            fresh={"n_nodes": 400, "speedup": 1.0},
-            committed=None) == 0
-
-    def test_eventsim_missing_from_report_is_hard_error(self, tmp_path):
-        gate = self._load_gate()
-        with pytest.raises(SystemExit):
-            self._run_eventsim_gate(
-                tmp_path, gate, fresh=None,
-                committed={"n_nodes": 400, "speedup": 1.0})
-
     def test_write_records_columnar_section(self, tmp_path):
         gate = self._load_gate()
         report = tmp_path / "BENCH_perf.json"
         payload = self._report(2.0)
         payload["columnar"] = {"n_nodes": 400, "speedup": 2.19,
                                "backend": "numpy"}
-        payload["eventsim"] = {"n_nodes": 400, "speedup": 1.0,
-                               "partitioned": {"jobs": 2}}
         report.write_text(json.dumps(payload))
         trajectory = tmp_path / "trajectory.json"
         assert gate.main([str(report), "--trajectory", str(trajectory),
                           "--write"]) == 0
         data = json.loads(trajectory.read_text())
         assert data["columnar"] == {"n_nodes": 400, "speedup": 2.19}
-        assert data["eventsim"] == {"n_nodes": 400, "speedup": 1.0}

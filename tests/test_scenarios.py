@@ -1,7 +1,10 @@
 """Canonical scenarios: Figure-1 fidelity and generators."""
 
+import pytest
+
 from repro.core import Mint, MintConfig, NaiveTopK, Tag, oracle_scores
 from repro.core.aggregates import make_aggregate
+from repro.errors import ConfigurationError
 from repro.scenarios import (
     FIGURE1_READINGS,
     FIGURE1_ROOMS,
@@ -90,6 +93,11 @@ class TestGridRooms:
         levels = {scenario.field.group_level(g)
                   for g in set(scenario.group_of.values())}
         assert max(levels) > 2 * min(levels)
+
+    @pytest.mark.parametrize("rooms", [0, -2])
+    def test_rooms_per_axis_below_one_rejected(self, rooms):
+        with pytest.raises(ConfigurationError, match="rooms_per_axis"):
+            grid_rooms_scenario(side=4, rooms_per_axis=rooms)
 
 
 class TestRandomRooms:
