@@ -887,8 +887,12 @@ def _cmd_perf(args) -> int:
 def _cmd_savings(args) -> int:
     from .core import Mint, MintConfig, Tag
     from .core.aggregates import make_aggregate
+    from .errors import ConfigurationError
     from .scenarios import grid_rooms_scenario
 
+    if args.epochs < 1:
+        raise ConfigurationError(
+            f"--epochs must be at least 1, got {args.epochs}")
     rows = []
     for name in ("mint", "tag"):
         scenario = grid_rooms_scenario(side=args.side,

@@ -474,7 +474,8 @@ class Mint:
                 )
                 if hot:
                     parent = network.tree._parents[node_id]
-                    network._ship_unicast(node_id, parent, message)
+                    network._ship_unicast(node_id, parent, message.kind,
+                                          message.payload_bytes)
                 else:
                     parent = network.send_up(node_id, message)
                 if parent == sink_id:
@@ -603,6 +604,7 @@ class Mint:
         self.network.advance_epoch()
         return result
 
+    # repro: hot
     def _run_update_phase(self, contributions: dict[int, Partial]) -> None:
         """The pruning + update phases, fused into one converge-cast
         pass (hot path).
@@ -612,14 +614,17 @@ class Mint:
         :meth:`_update_message` and :meth:`_apply_report` per node —
         the reference branch in :meth:`run_epoch` still does exactly
         that, and the equivalence property test holds the two paths to
-        identical messages, stats and answers. Fusing the pass removes
+        identical traffic, stats and answers. Fusing the pass removes
         five method calls and several intermediate containers per node
-        per epoch, which dominates the epoch loop at fleet scale.
+        per epoch, which dominates the epoch loop at fleet scale. The
+        update is shipped by its size
+        (:meth:`~repro.network.messages.ViewUpdateMessage.wire_bytes`):
+        the transport reads nothing else, so no entry tuples or message
+        object are built.
         """
         network = self.network
         states = self.states
         nodes = network.nodes
-        epoch = network.epoch
         aggregate = self.aggregate
         merge = aggregate.merge
         finalize = aggregate.finalize
@@ -631,61 +636,52 @@ class Mint:
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
+        wire_bytes = ViewUpdateMessage.wire_bytes
+        kind = ViewUpdateMessage.kind
         sink_id = network.sink_id
         sink_dirty = self._sink_dirty
         sort_key = lambda item: (-finalize(item[1]), gstr[item[0]])  # noqa: E731
-        wire_key = lambda item: gstr[item[0]]  # noqa: E731  entry order
         with network.stats.phase("update"):
             for node_id in network.converge_cast_order():
                 state = states[node_id]
                 contribution = contributions_get(node_id)
                 children = children_of(node_id)
+                reported = state.reported
                 # -- leaf fast path ---------------------------------
                 # A leaf's view is just its own contribution: no merge,
                 # no pruning, no γ, and the delta is one comparison.
                 if not children:
-                    reported = state.reported
+                    state.withheld = {}
                     if contribution is None:
                         state.view = {}
-                        state.withheld = {}
                         if not reported:
                             continue
-                        kept: dict[GroupKey, Partial] = {}
-                        changed = []
+                        changed = False
+                        retractions = list(reported)
                     else:
                         group = group_of[node_id]
-                        state.view = kept = {group: contribution}
-                        state.withheld = {}
-                        if (len(reported) == 1
-                                and reported.get(group) == contribution):
+                        state.view = {group: contribution}
+                        changed = reported.get(group) != contribution
+                        if len(reported) == 1 and not changed:
                             continue
-                        changed = ([(group, contribution)]
-                                   if reported.get(group) != contribution
-                                   else [])
-                    if reported.keys() <= kept.keys():
-                        retractions: tuple = ()
-                    else:
-                        retractions = tuple(
-                            g for g in sorted(reported,
-                                              key=gstr.__getitem__)
-                            if g not in kept)
-                    if not changed and not retractions:
-                        continue
-                    message = ViewUpdateMessage(
-                        epoch=epoch,
-                        entries=tuple([ViewEntry(g, p[0], p[1])
-                                       for g, p in changed]),
-                        retractions=retractions,
-                    )
+                        retractions = []
+                        for g in reported:
+                            if g != group:
+                                retractions.append(g)
+                        if not changed and not retractions:
+                            continue
                     parent = parents[node_id]
-                    ship_unicast(node_id, parent, message)
+                    ship_unicast(node_id, parent, kind,
+                                 wire_bytes(1 if changed else 0,
+                                            len(retractions)))
+                    for g in retractions:
+                        del reported[g]
+                    if changed:
+                        reported[group] = contribution
                     if parent == sink_id:
                         sink_dirty.update(retractions)
-                        sink_dirty.update(g for g, _ in changed)
-                    for g in retractions:
-                        reported.pop(g, None)
-                    for g, p in changed:
-                        reported[g] = p
+                        if changed:
+                            sink_dirty.add(group)
                     continue
                 # -- rebuild V_i ------------------------------------
                 view: dict[GroupKey, Partial] = {}
@@ -720,26 +716,16 @@ class Mint:
                             gamma is None or child_gamma > gamma):
                         gamma = child_gamma
                 # -- delta vs the parent's cache --------------------
-                # Only the delta is sorted (into the same wire order
-                # the reference path produces by sorting all of kept);
-                # steady-state deltas are tiny next to the full view.
-                reported = state.reported
                 reported_get = reported.get
-                changed = [
-                    (group, partial)
-                    for group, partial in kept.items()
-                    if reported_get(group) != partial
-                ]
-                if len(changed) > 1:
-                    changed.sort(key=wire_key)
-                if reported.keys() <= kept.keys():
-                    retractions = ()
-                else:
-                    retractions = tuple(
-                        group
-                        for group in sorted(reported, key=gstr.__getitem__)
-                        if group not in kept
-                    )
+                changed_groups = []
+                for group, partial in kept.items():
+                    if reported_get(group) != partial:
+                        changed_groups.append(group)
+                retractions = []
+                if not reported.keys() <= kept.keys():
+                    for group in reported:
+                        if group not in kept:
+                            retractions.append(group)
                 # Inlined should_reship_gamma (one call per node saved).
                 reported_gamma = state.gamma_reported
                 if gamma is None:
@@ -748,35 +734,30 @@ class Mint:
                     ship_gamma = True
                 else:
                     ship_gamma = reported_gamma - gamma > hysteresis
-                if not changed and not retractions and not ship_gamma:
+                if not changed_groups and not retractions and not ship_gamma:
                     continue
-                message = ViewUpdateMessage(
-                    epoch=epoch,
-                    entries=tuple([ViewEntry(group, partial[0], partial[1])
-                                   for group, partial in changed]),
-                    gamma=gamma if ship_gamma else None,
-                    retractions=retractions,
-                )
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
-                ship_unicast(node_id, parent, message)
+                ship_unicast(node_id, parent, kind,
+                             wire_bytes(len(changed_groups),
+                                        len(retractions), ship_gamma))
+                # -- commit the parent-side cache -------------------
+                for group in retractions:
+                    del reported[group]
+                for group in changed_groups:
+                    reported[group] = kept[group]
+                if ship_gamma:
+                    state.gamma_reported = gamma
                 if parent == sink_id:
                     sink_dirty.update(retractions)
-                    sink_dirty.update(group for group, _ in changed)
+                    sink_dirty.update(changed_groups)
                     if ship_gamma:
                         # A new γ can move the bound of every group with
                         # unseen mass under this child; the child's
                         # subtree census is the conservative superset.
                         sink_dirty.update(
                             self.child_group_totals.get(node_id, ()))
-                # -- commit the parent-side cache -------------------
-                for group in retractions:
-                    reported.pop(group, None)
-                for group, partial in changed:
-                    reported[group] = partial
-                if ship_gamma:
-                    state.gamma_reported = gamma
 
     def _seen_partial(self, group: GroupKey) -> Partial | None:
         seen: Partial | None = None

@@ -9,12 +9,12 @@ pruning is measured against.
 
 Like MINT, the per-epoch converge-cast runs on a fused hot path (see
 :mod:`repro.network.hotpath`): acquisition shares lifted partials via
-a memo, group sort keys are stringified once, leaves skip the merge
-machinery, and messages ship straight over the cached tree edge. The
-reference implementation remains in :meth:`Tag.run_epoch`'s reference
-branch — the oracle ``hotpath.reference_path()`` restores — and
+a memo, leaves skip the merge machinery, and each view ships by its
+size straight over the cached tree edge. The reference implementation
+remains in :meth:`Tag.run_epoch`'s reference branch — the oracle
+``hotpath.reference_path()`` restores — and
 ``tests/test_hotpath_equivalence.py`` holds both paths to identical
-messages, stats and answers.
+traffic, stats and answers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..errors import ValidationError
 from ..network import hotpath
 from ..network.messages import QueryMessage, ViewEntry, ViewUpdateMessage
 from ..network.simulator import Network
-from .aggregates import Aggregate, Partial, SortKeys
+from .aggregates import Aggregate, Partial
 from .delta import TopKView
 from .results import EpochResult, RankedItem, rank_key
 
@@ -54,8 +54,6 @@ class Tag:
         #: ``where_fn(node_id, group, value) -> bool``.
         self.where_fn = where_fn
         self._disseminated = False
-        #: Hot-path memo of per-group string sort keys.
-        self._gstr = SortKeys()
         #: Hot-path memo of lifted reading partials (see Mint._acquire).
         self._lift_memo: dict[float, Partial] = {}
         #: Hot-path memo of the participant tuple (see Mint._participants).
@@ -114,47 +112,43 @@ class Tag:
             contributions[node_id] = from_value(value)
         return contributions
 
+    # repro: hot
     def _run_aggregation_phase(
             self, contributions: dict[int, Partial]
     ) -> dict[GroupKey, Partial]:
         """The converge-cast, fused into one hot-path pass.
 
         Semantically identical to the reference branch in
-        :meth:`run_epoch` — same views, same wire order, same messages
-        — with the per-node containers, sort-key stringification and
-        transport guards lifted out of the loop (the same fusion MINT's
-        update phase applies; the equivalence property test covers it).
+        :meth:`run_epoch` — same views, same traffic — with the
+        per-node containers and transport guards lifted out of the
+        loop (the same fusion MINT's update phase applies; the
+        equivalence property test covers it). Each node's view ships
+        by its size
+        (:meth:`~repro.network.messages.ViewUpdateMessage.wire_bytes`
+        of one tuple per group), so no entries are sorted or built.
         """
         network = self.network
-        epoch = network.epoch
         merge = self.aggregate.merge
-        gstr = self._gstr
         group_of = self.group_of
         contributions_get = contributions.get
         children_of = network.tree.children
         parents = network.tree._parents
         ship_unicast = network._ship_unicast
+        wire_bytes = ViewUpdateMessage.wire_bytes
+        kind = ViewUpdateMessage.kind
         sink_id = network.sink_id
-        wire_key = lambda item: gstr[item[0]]  # noqa: E731  entry order
         partial_views: dict[int, dict[GroupKey, Partial]] = {}
         sink_view: dict[GroupKey, Partial] = {}
         with network.stats.phase("aggregation"):
             for node_id in network.converge_cast_order():
                 own = contributions_get(node_id)
                 children = children_of(node_id)
-                # -- leaf fast path: the view is the own contribution --
-                if not children:
-                    if own is None:
-                        view: dict[GroupKey, Partial] = {}
-                        entries: tuple = ()
-                    else:
-                        group = group_of[node_id]
-                        view = {group: own}
-                        entries = (ViewEntry(group, own[0], own[1]),)
-                else:
-                    view = {}
-                    if own is not None:
-                        view[group_of[node_id]] = own
+                view: dict[GroupKey, Partial] = {}
+                if own is not None:
+                    view[group_of[node_id]] = own
+                # A leaf's view is its own contribution; inner nodes
+                # merge their children's views into it.
+                if children:
                     view_get = view.get
                     for child in children:
                         child_view = partial_views.get(child)
@@ -164,15 +158,10 @@ class Tag:
                             existing = view_get(group)
                             view[group] = (partial if existing is None
                                            else merge(existing, partial))
-                    items = sorted(view.items(), key=wire_key) \
-                        if len(view) > 1 else view.items()
-                    entries = tuple([ViewEntry(group, partial[0], partial[1])
-                                     for group, partial in items])
-                message = ViewUpdateMessage(epoch=epoch, entries=entries)
                 # Every node in the converge-cast order is alive and
                 # non-root, so the send_up guards are vacuous here.
                 parent = parents[node_id]
-                ship_unicast(node_id, parent, message)
+                ship_unicast(node_id, parent, kind, wire_bytes(len(view)))
                 if parent == sink_id:
                     sink_get = sink_view.get
                     for group, partial in view.items():

@@ -11,10 +11,11 @@ the rows a mask singles out:
 * **batch sensing** — :meth:`repro.network.simulator.Network.read_many`
   samples a whole id tuple through one
   :meth:`~repro.sensing.generators.FieldGenerator.batch_values` call
-  per board channel (grouped by an identity-keyed sampling plan cached
-  on the alive tuple), vectorizing the clamp + ADC quantization — and,
-  for hash-jittered fields, the per-cell uniform draw itself via
-  :func:`hash01_column` — over the column; and
+  per board channel (grouped by a sampling plan cached per id-tuple
+  value and topology version, shared by every session), vectorizing
+  the clamp + ADC quantization — and, for hash-jittered fields, the
+  per-cell uniform draw itself via :func:`hash01_column` — over the
+  column; and
 * **mask-driven passes** — FILA's monitor / answer / filter-install
   loops (:mod:`repro.core.fila`) ask the column helpers below which
   rows actually need Python-level work this epoch and skip the rest.
@@ -426,94 +427,101 @@ def masked_ceiling(values, flt_hi, synced, chosen_rows: Sequence[int]
 class ColumnarState:
     """Structure-of-arrays caches one :class:`Network` owns.
 
-    Holds the per-attribute *readings row* of the current epoch — the
-    value dict (in ascending-id order, shared by every session that
-    asks for the same id tuple) plus its aligned column — so N
-    concurrent sessions pay for one batch acquisition instead of N
-    scans of the per-node sample caches. Rows are keyed by the
-    identity of the requesting id tuple (the network's cached alive
-    tuple, or an engine's cached participant tuple) and epoch-stamped,
-    so staleness is impossible by construction: a new epoch or a
-    topology change (which rebuilds the id tuple) simply never
-    matches.
+    Holds the current epoch's per-attribute *readings rows* — the value
+    dict (in ascending-id order) plus its lazily built aligned column —
+    and the per-attribute *sampling plans*. Both are keyed on the id
+    tuple's *value*, so every session that asks for the same ids (the
+    network's alive tuple, an engine's participant tuple, a freshly
+    filtered list) shares one plan per topology version and one row
+    per epoch: N concurrent sessions pay for one batch acquisition
+    instead of N scans of the per-node sample caches.
+
+    Staleness is impossible by construction: :meth:`sync` drops the
+    rows whenever the epoch or the topology version moves and the
+    plans whenever the topology version moves, so a row or plan is
+    only ever served for the (epoch, topology) it was built under.
+    That also bounds memory: rows never outlive their epoch.
     """
 
-    __slots__ = ("_rows", "_plans", "_epochs")
+    __slots__ = ("_rows", "_plans", "_epoch", "_version")
 
     def __init__(self) -> None:
-        #: attribute -> {id(ids_tuple): (epoch, ids_tuple, readings,
-        #:                               column-or-None)}
-        self._rows: dict[str, dict[int, list]] = {}
-        #: attribute -> (ids_tuple, plan) — the memoized sampling plan
+        #: attribute -> {ids: [readings, column-or-None]} for the
+        #: current epoch and topology version.
+        self._rows: dict[str, dict[tuple, list]] = {}
+        #: attribute -> {ids: plan} for the current topology version
         #: (see :meth:`plan`).
-        self._plans: dict[str, tuple] = {}
-        #: attribute -> epoch of the newest stored row (any id tuple).
-        self._epochs: dict[str, int] = {}
+        self._plans: dict[str, dict[tuple, tuple]] = {}
+        self._epoch: int | None = None
+        self._version: int | None = None
 
-    def cached(self, attribute: str, epoch: int, ids: tuple[int, ...]):
-        """The readings dict previously built for this exact id tuple
-        at this epoch, or None."""
-        entry = self._rows.get(attribute, {}).get(id(ids))
-        if entry is not None and entry[0] == epoch and entry[1] is ids:
-            return entry[2]
-        return None
+    def sync(self, epoch: int, version: int) -> None:
+        """Drop what the clock or the topology has invalidated: rows
+        belong to one (epoch, topology version), plans to one topology
+        version. Call before any lookup."""
+        if version != self._version:
+            self._version = version
+            self._plans.clear()
+            self._rows.clear()
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._rows.clear()
 
-    def has_row(self, attribute: str, epoch: int) -> bool:
-        """Whether *any* readings row (whatever its id tuple) has been
-        stored for this attribute at this epoch.
+    def cached(self, attribute: str, ids: tuple[int, ...]):
+        """The readings dict already built for these ids (by value)
+        this epoch, or None."""
+        entry = self._rows.get(attribute, {}).get(ids)
+        return None if entry is None else entry[0]
 
-        False means no batch read has run yet this epoch, so no session
-        can have warmed the per-node sample caches through the planned
-        path — the epoch's first batch may skip the per-row freshness
-        probe (:meth:`~repro.network.node.SensorNode.book_sample` still
-        re-checks per node, covering stragglers sampled by a scalar
-        ``read``)."""
-        return self._epochs.get(attribute) == epoch
+    def has_row(self, attribute: str) -> bool:
+        """Whether *any* readings row (whatever its ids) has been
+        stored for this attribute this epoch and topology version.
 
-    def store(self, attribute: str, epoch: int, ids: tuple[int, ...],
+        False means no batch read has run yet since the epoch or the
+        topology last moved, so the batch may skip the per-row
+        freshness probe: :meth:`~repro.network.node.SensorNode.book_sample`
+        still re-checks per node, covering stragglers sampled by a
+        scalar ``read`` or by a batch before a mid-epoch kill or join."""
+        return attribute in self._rows
+
+    def store(self, attribute: str, ids: tuple[int, ...],
               readings: dict[int, float]) -> None:
-        """Remember one epoch's readings row for an id tuple."""
-        self._epochs[attribute] = epoch
-        per_attribute = self._rows.setdefault(attribute, {})
-        if len(per_attribute) > 16:
-            # A session churning through fresh participant tuples must
-            # not grow the row table without bound.
-            per_attribute.clear()
-        per_attribute[id(ids)] = [epoch, ids, readings, None]
+        """Remember this epoch's readings row for an id tuple."""
+        self._rows.setdefault(attribute, {})[ids] = [readings, None]
 
     def plan(self, attribute: str, ids: tuple[int, ...]):
-        """The memoized sampling plan for this exact id tuple, or None.
+        """The memoized sampling plan for these ids (by value), or None.
 
         A plan is the id tuple's partition into board channels —
         ``((field, modality, quantize, ids_list, (row, node) pairs),
         ...)`` — everything about the grouping walk of
         :meth:`~repro.network.simulator.Network.read_many` that is a
-        pure function of the id tuple and the nodes' boards. It is
-        keyed by the tuple's *identity*: any topology change rebuilds
-        the network's alive tuple (and engines rebuild their
-        participant tuples), so a stale plan simply never matches.
-        Per-epoch freshness (the same-epoch sample cache) is *not*
-        baked in — :meth:`~repro.network.node.SensorNode.book_sample`
-        re-checks it per node each epoch."""
-        entry = self._plans.get(attribute)
-        if entry is not None and entry[0] is ids:
-            return entry[1]
-        return None
+        pure function of the ids and the nodes' boards. Node deaths and
+        joins bump the network's topology version, which drops every
+        plan (see :meth:`sync`), so a plan never names a dead or
+        replaced node. Per-epoch freshness (the same-epoch sample
+        cache) is *not* baked in —
+        :meth:`~repro.network.node.SensorNode.book_sample` re-checks it
+        per node each epoch."""
+        return self._plans.get(attribute, {}).get(ids)
 
     def store_plan(self, attribute: str, ids: tuple[int, ...],
                    plan) -> None:
-        """Remember the sampling plan for an id tuple (one per
-        attribute — sessions share the alive tuple, and an engine
-        cycling through fresh subset tuples overwrites harmlessly)."""
-        self._plans[attribute] = (ids, plan)
+        """Remember the sampling plan for an id tuple."""
+        per_attribute = self._plans.setdefault(attribute, {})
+        if len(per_attribute) > 16:
+            # Readers cycling through fresh id sets within one topology
+            # version must not grow the plan table without bound.
+            per_attribute.clear()
+        per_attribute[ids] = plan
 
-    def column(self, attribute: str, epoch: int, ids: tuple[int, ...]):
+    def column(self, attribute: str, ids: tuple[int, ...]):
         """The readings row as a backend column aligned to ``ids``
         (built lazily, cached beside the dict); None when the row is
         not cached."""
-        entry = self._rows.get(attribute, {}).get(id(ids))
-        if entry is None or entry[0] != epoch or entry[1] is not ids:
+        entry = self._rows.get(attribute, {}).get(ids)
+        if entry is None:
             return None
-        if entry[3] is None:
-            entry[3] = float_column(list(entry[2].values()))
-        return entry[3]
+        if entry[1] is None:
+            entry[1] = float_column(list(entry[0].values()))
+        return entry[1]

@@ -113,13 +113,27 @@ class ViewUpdateMessage(WireMessage):
     retractions: tuple[GroupKey, ...] = ()
     kind: str = field(default="view_update", init=False)
 
-    @property
-    def payload_bytes(self) -> int:
-        size = SZ_EPOCH + len(self.entries) * ViewEntry.WIRE_BYTES
-        size += len(self.retractions) * SZ_GROUP_ID
-        if self.gamma is not None:
+    @staticmethod
+    def wire_bytes(n_entries: int, n_retractions: int = 0,
+                   has_gamma: bool = False) -> int:
+        """The payload size of an update carrying ``n_entries`` view
+        tuples, ``n_retractions`` retracted group ids and optionally γ.
+
+        The one definition of the layout: :attr:`payload_bytes` calls
+        it, and the fused converge-cast passes call it directly to ship
+        an update by its size without building the message.
+        """
+        size = (SZ_EPOCH + n_entries * ViewEntry.WIRE_BYTES
+                + n_retractions * SZ_GROUP_ID)
+        if has_gamma:
             size += SZ_VALUE
         return size
+
+    @property
+    def payload_bytes(self) -> int:
+        return ViewUpdateMessage.wire_bytes(
+            len(self.entries), len(self.retractions),
+            self.gamma is not None)
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,8 @@ class SensorNode:
         method because :meth:`repro.network.simulator.Network.read_many`
         calls it for every freshly-drawn row and the call overhead was
         measurable. The caller's sampling plan guarantees this node is
-        alive with a board (plan validity is tied to the alive-tuple's
-        identity), so the liveness/board checks are hoisted; the
+        alive with a board (every node death or join drops the
+        network's plans), so the liveness/board checks are hoisted; the
         caller also pre-filters same-epoch-fresh rows, making the
         cache check here a cheap second line of defence rather than
         the primary one. Returns the value actually booked (the cached

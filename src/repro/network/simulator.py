@@ -146,9 +146,10 @@ class Network:
         self._live_children_cache: dict[int, tuple[int, ...]] = {}
         self._cache_tree: RoutingTree | None = None
         self._cache_version = -1
-        #: Structure-of-arrays caches (readings rows / columns) for the
-        #: columnar kernel; epoch-stamped and id-tuple-keyed, so no
-        #: invalidation hooks are needed (see ColumnarState).
+        #: Structure-of-arrays caches (sampling plans, readings rows /
+        #: columns) for the columnar kernel, keyed on the id tuple's
+        #: value and dropped when the epoch or ``_topo_version`` moves
+        #: (see ColumnarState.sync).
         self._columnar = columnar.ColumnarState()
         for node in self.nodes.values():
             node.on_kill = self._on_node_killed
@@ -279,16 +280,21 @@ class Network:
                 retransmissions=attempts - cost.packets,
             )
 
-    def _ship_unicast(self, sender: int, receiver: int,
-                      message: WireMessage) -> None:
+    def _ship_unicast(self, sender: int, receiver: int, kind: str,
+                      payload_bytes: int) -> None:
         """Hot-path :meth:`_ship` specialised for one receiver.
 
         Tree traffic is overwhelmingly unicast (every converge-cast
         edge), so the single-receiver case skips the receiver tuple,
         the receiver loop and the generic branching. Costs, energy and
         recorded counters are identical to :meth:`_ship`.
+
+        Takes the message's ``kind`` and ``payload_bytes`` rather than
+        the message itself — that is all the transport reads — so the
+        fused converge-cast passes can ship a view update by its size
+        (:meth:`~repro.network.messages.ViewUpdateMessage.wire_bytes`)
+        without building the entry tuples and the message object.
         """
-        payload_bytes = message.payload_bytes
         if self.radio.loss_probability == 0.0:
             info = (self._cost_memo.get(payload_bytes)
                     or self._memo_cost(payload_bytes))
@@ -320,9 +326,9 @@ class Network:
         # site — the hottest in the simulator — and the call frame
         # alone is measurable there. Keep in lock-step with
         # _record_hot (the canonical implementation).
-        batch = self._pending_traffic.get(message.kind)
+        batch = self._pending_traffic.get(kind)
         if batch is None:
-            batch = self._pending_traffic[message.kind] = [0, 0, 0, 0, 0]
+            batch = self._pending_traffic[kind] = [0, 0, 0, 0, 0]
         batch[0] += 1
         batch[1] += packets
         batch[2] += payload_bytes
@@ -417,7 +423,8 @@ class Network:
                 parent = self.tree.parent(child)  # error semantics
             if child != self._sink_id and not self.nodes[child].alive:
                 raise RoutingError(f"dead node {child} cannot transmit")
-            self._ship_unicast(child, parent, message)
+            self._ship_unicast(child, parent, message.kind,
+                               message.payload_bytes)
             return parent
         parent = self.tree.parent(child)
         if child != self.sink_id and not self.nodes[child].alive:
@@ -497,8 +504,9 @@ class Network:
         hops = 0
         if hotpath.enabled():
             path = self.tree.path_to_root(origin)
+            kind, payload_bytes = message.kind, message.payload_bytes
             for node_id, parent in zip(path, path[1:]):
-                self._ship_unicast(node_id, parent, message)
+                self._ship_unicast(node_id, parent, kind, payload_bytes)
                 hops += 1
             return hops
         for node_id in self.tree.path_to_root(origin)[:-1]:
@@ -511,8 +519,9 @@ class Network:
         path = self.tree.path_to_root(target)
         hops = 0
         if hotpath.enabled():
+            kind, payload_bytes = message.kind, message.payload_bytes
             for receiver, sender in zip(path[-2::-1], path[::-1]):
-                self._ship_unicast(sender, receiver, message)
+                self._ship_unicast(sender, receiver, kind, payload_bytes)
                 hops += 1
             return hops
         for receiver, sender in zip(path[:-1][::-1] or (), path[1:][::-1] or ()):
@@ -556,9 +565,11 @@ class Network:
         :meth:`~repro.sensing.generators.FieldGenerator.batch_values`
         call plus a vectorized clamp/quantize per channel, then booked
         per node exactly as a scalar read
-        (:meth:`~repro.network.node.SensorNode.store_sample`). The row
-        is cached per (attribute, epoch, id-tuple identity), so N
-        concurrent sessions over the same deployment pay for one batch.
+        (:meth:`~repro.network.node.SensorNode.store_sample`). The
+        sampling plan is cached per (attribute, id-tuple value,
+        topology version) and the row per (attribute, id-tuple value,
+        epoch), so N concurrent sessions naming the same ids — as a
+        tuple or a list — share one plan and pay for one batch.
 
         The returned dict is shared with later same-epoch callers —
         treat it as read-only (copy it to mutate, as
@@ -568,26 +579,31 @@ class Network:
         if not (columnar._enabled and hotpath._enabled):
             return {node_id: nodes[node_id].read(attribute, epoch)
                     for node_id in node_ids}
-        row = self._columnar.cached(attribute, epoch, node_ids)
+        ids_key = node_ids if type(node_ids) is tuple else tuple(node_ids)
+        state = self._columnar
+        state.sync(epoch, self._topo_version)
+        row = state.cached(attribute, ids_key)
         if row is not None:
             return row
-        plan = self._columnar.plan(attribute, node_ids)
+        plan = state.plan(attribute, ids_key)
         if plan is None:
-            plan = self._build_sampling_plan(node_ids, attribute)
+            plan = self._build_sampling_plan(ids_key, attribute)
             if plan is None:
-                # A dead or board-less node in the tuple: the generic
-                # walk raises exactly as a scalar read would, at that
-                # node's position in the loop.
-                return self._read_many_generic(node_ids, attribute)
-            self._columnar.store_plan(attribute, node_ids, plan)
+                # A dead or board-less node in the tuple: walk it node
+                # by node, so the read raises exactly where a scalar
+                # read does, with the same samples booked before it.
+                return {node_id: nodes[node_id].read(attribute, epoch)
+                        for node_id in ids_key}
+            state.store_plan(attribute, ids_key, plan)
         out = [0.0] * len(node_ids)
         # The epoch's first batch (no row stored yet for this
-        # attribute+epoch, so no session warmed the per-node caches
-        # through this path) skips the freshness probe entirely and
-        # draws every row — ``book_sample`` still re-checks per node,
-        # so a straggler sampled by a scalar ``read`` is never
+        # attribute, epoch and topology version, so no session warmed
+        # the per-node caches through this path) skips the freshness
+        # probe entirely and draws every row — ``book_sample`` still
+        # re-checks per node, so a straggler sampled by a scalar
+        # ``read`` or before a mid-epoch kill or join is never
         # double-booked.
-        first_batch = not self._columnar.has_row(attribute, epoch)
+        first_batch = not state.has_row(attribute)
         for field, modality, quantize, ids, rows in plan:
             if first_batch:
                 values = field.batch_values(ids, epoch)
@@ -629,16 +645,16 @@ class Network:
                 row_index, node = rows[pair_index]
                 out[row_index] = node.book_sample(attribute, epoch,
                                                   value, cost)
-        readings = dict(zip(node_ids, out))
-        self._columnar.store(attribute, epoch, node_ids, readings)
+        readings = dict(zip(ids_key, out))
+        state.store(attribute, ids_key, readings)
         return readings
 
     def _build_sampling_plan(self, node_ids: Sequence[int],
                              attribute: str):
         """Partition an id tuple by board channel (see
         :meth:`repro.network.columnar.ColumnarState.plan`). None when
-        any node is dead or board-less — those tuples take the generic
-        walk, which reproduces scalar error ordering."""
+        any node is dead or board-less — those tuples take the scalar
+        walk, which raises at that node."""
         nodes = self.nodes
         groups: dict[tuple, tuple] = {}
         for row_index, node_id in enumerate(node_ids):
@@ -654,50 +670,13 @@ class Network:
             group[4].append((row_index, node))
         return tuple(groups.values())
 
-    def _read_many_generic(self, node_ids: Sequence[int],
-                           attribute: str) -> dict[int, float]:
-        """The unplanned batch walk: per-node freshness and liveness
-        checks inline, in id order (the pre-plan read_many body)."""
-        nodes, epoch = self.nodes, self.epoch
-        readings: dict[int, float] = {}
-        pending: dict[tuple, list[int]] = {}
-        channels: dict[tuple, tuple] = {}
-        for node_id in node_ids:
-            node = nodes[node_id]
-            cached = node._sample_cache.get(attribute)
-            if cached is not None and cached[0] == epoch and node.alive:
-                readings[node_id] = cached[1]
-                continue
-            if not node.alive or node.board is None:
-                readings[node_id] = node.read(attribute, epoch)
-                continue
-            field, modality, quantize = node.board.channel(attribute)
-            key = (id(field), id(modality), quantize)
-            group = pending.get(key)
-            if group is None:
-                group = pending[key] = []
-                channels[key] = (field, modality, quantize)
-            group.append(node_id)
-            readings[node_id] = 0.0  # placeholder keeps dict in id order
-        for key, ids in pending.items():
-            field, modality, quantize = channels[key]
-            values = field.batch_values(ids, epoch)
-            values = (columnar.quantize_column(values, modality) if quantize
-                      else columnar.clamp_column(values, modality))
-            cost = modality.sample_cost_joules
-            for node_id, value in zip(ids, values):
-                node = nodes[node_id]
-                node.ledger.charge_sensing(cost)
-                node.store_sample(attribute, epoch, value)
-                readings[node_id] = value
-        self._columnar.store(attribute, epoch, node_ids, readings)
-        return readings
-
     def reading_column(self, node_ids: Sequence[int], attribute: str):
         """This epoch's cached readings row as a backend float column
         aligned to ``node_ids`` (None when :meth:`read_many` has not
         built the row). FILA's mask passes consume this."""
-        return self._columnar.column(attribute, self.epoch, node_ids)
+        state = self._columnar
+        state.sync(self.epoch, self._topo_version)
+        return state.column(attribute, tuple(node_ids))
 
     def advance_epoch(self) -> int:
         """Close the epoch: charge idle energy, bump the counter.

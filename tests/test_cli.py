@@ -295,6 +295,14 @@ class TestSavings:
         assert "mint" in out
         assert "MINT saves" in out
 
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_non_positive_epochs_are_clean_errors(self, capsys, epochs):
+        assert main(["savings", "--side", "4", "--rooms", "2",
+                     "--epochs", epochs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --epochs must be at least 1")
+        assert "MINT saves" not in captured.out
+
 
 class TestArgparse:
     def test_command_required(self):

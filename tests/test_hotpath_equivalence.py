@@ -12,6 +12,7 @@ engines and churn schedules through both paths and compare everything.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
+from repro.errors import RoutingError
 from repro.network import columnar, hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
@@ -97,9 +99,20 @@ QUERY_BY_ENGINE = {
 }
 
 
-def run_workload(*, seed, k, agg, engines, epochs, churn_seed):
-    """One deterministic run; returns every observable as plain data."""
+def run_workload(*, seed, k, agg, engines, epochs, churn_seed, loss=0.0):
+    """One deterministic run; returns every observable as plain data.
+
+    ``loss`` > 0 puts the deployment on a lossy radio: retransmissions
+    then draw from the loss stream, so the observables also include
+    the stream's next draw after the run and the link-layer drop that
+    ended the run early, if one did. On a lossless radio a
+    ``RoutingError`` is a bug and propagates.
+    """
     scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=seed)
+    network = scenario.network
+    if loss:
+        network.radio = dataclasses.replace(network.radio,
+                                            loss_probability=loss)
     deployment = Deployment.from_scenario(scenario)
     interventions = []
     if churn_seed is not None:
@@ -119,8 +132,13 @@ def run_workload(*, seed, k, agg, engines, epochs, churn_seed):
         template, algorithm = QUERY_BY_ENGINE[engine]
         query = template.format(k=k, agg=agg)
         handles.append(deployment.submit(query, algorithm=algorithm))
-    driver.run(epochs)
-    network = scenario.network
+    dropped = None
+    try:
+        driver.run(epochs)
+    except RoutingError as exc:
+        if not loss:
+            raise
+        dropped = str(exc)
     return (
         [answers_of(h) for h in handles],
         stats_signature(network.stats),
@@ -128,6 +146,8 @@ def run_workload(*, seed, k, agg, engines, epochs, churn_seed):
         ledger_signature(network),
         network.epoch,
         [h.state.value for h in handles],
+        dropped,
+        network._rng.random(),
     )
 
 
@@ -178,6 +198,37 @@ def test_all_engines_concurrently_hot_equals_reference():
                   churn_seed=3)
     with hotpath.reference_path():
         reference = run_workload(**kwargs)
+    assert run_workload(**kwargs) == reference
+
+
+@pytest.mark.parametrize("engines", [["mint"], ["tag"],
+                                     sorted(QUERY_BY_ENGINE)],
+                         ids=["mint", "tag", "mix"])
+@pytest.mark.parametrize("churn_seed", [None, 1])
+def test_lossy_sessions_hot_equal_reference(engines, churn_seed):
+    """Session-level runs on a lossy radio: the fused passes ship by
+    size through the retransmission branch of the unicast primitive,
+    and must draw the same retransmissions from the same loss stream
+    as the reference path's real messages."""
+    kwargs = dict(seed=2024, k=2, agg="AVG", engines=engines, epochs=6,
+                  churn_seed=churn_seed, loss=0.1)
+    with hotpath.reference_path():
+        reference = run_workload(**kwargs)
+    assert run_workload(**kwargs) == reference
+
+
+@pytest.mark.parametrize("engines", [["mint"], ["tag"],
+                                     sorted(QUERY_BY_ENGINE)],
+                         ids=["mint", "tag", "mix"])
+def test_dropping_sessions_hot_equal_reference(engines):
+    """A radio lossy enough to exhaust the retry budget: both paths
+    raise the same RoutingError at the same point of the same epoch,
+    with identical traffic and energy charged up to the drop."""
+    kwargs = dict(seed=7, k=2, agg="MAX", engines=engines, epochs=6,
+                  churn_seed=None, loss=0.7)
+    with hotpath.reference_path():
+        reference = run_workload(**kwargs)
+    assert reference[6] is not None, "the run should end in a drop"
     assert run_workload(**kwargs) == reference
 
 
@@ -310,7 +361,7 @@ class TestPerPurposeRngStreams:
 class TestColumnarEquivalence:
     """The columnar epoch kernel (``repro.network.columnar``) is held
     to the same discipline as the hot path itself: batched sensing,
-    the identity-keyed sampling-plan cache and the vectorized Zipf
+    the value-keyed sampling-plan and row caches and the vectorized Zipf
     jitter must be invisible — same answers, counters, ledgers and RNG
     draws as the scalar path, under either numeric backend."""
 

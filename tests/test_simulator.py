@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.api import Deployment, EpochDriver
 from repro.errors import ConfigurationError, RoutingError
 from repro.network.link import RadioModel
 from repro.network.messages import ControlMessage, QueryMessage
 from repro.network.simulator import Network
 from repro.network.topology import grid_topology, linear_topology
-from repro.scenarios import figure1_scenario
+from repro.perf import WORKLOAD_QUERIES
+from repro.scenarios import figure1_scenario, grid_rooms_scenario
+from repro.sensing.board import SensorBoard
 
 
 @pytest.fixture
@@ -156,3 +159,96 @@ class TestLossAccounting:
             lossy.send_up(child, ControlMessage(label="x"))
         assert lossy.stats.retransmissions > 0
         assert lossy.stats.tx_joules > lossless.stats.tx_joules
+
+
+class TestSharedAcquisition:
+    """Concurrent readers share one sampling plan per topology version
+    and one readings row per epoch, whatever the type or identity of
+    the id sequence they pass."""
+
+    @pytest.fixture
+    def mix(self, monkeypatch):
+        """Four MINT sessions and a TJA query on a 16-sensor grid, with
+        board-channel lookups and batch draws counted."""
+        scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=3)
+        network = scenario.network
+        deployment = Deployment.from_scenario(scenario)
+        for query in WORKLOAD_QUERIES:
+            deployment.submit(query)
+        counts = {"channel": 0, "batch": 0}
+        channel = SensorBoard.channel
+
+        def counted_channel(board, attribute):
+            counts["channel"] += 1
+            return channel(board, attribute)
+
+        field = network.node(network.tree.sensor_ids[0]).board.channel(
+            "sound")[0]
+        batch_values = field.batch_values
+
+        def counted_batch(ids, epoch):
+            counts["batch"] += 1
+            return batch_values(ids, epoch)
+
+        monkeypatch.setattr(SensorBoard, "channel", counted_channel)
+        monkeypatch.setattr(field, "batch_values", counted_batch)
+        return network, EpochDriver(deployment), counts
+
+    def test_one_plan_and_one_batch_per_epoch(self, mix):
+        network, driver, counts = mix
+        driver.run(3)
+        assert counts["channel"] == len(network.alive_sensor_ids())
+        assert counts["batch"] == 3
+        assert all(network.node(i).samples_taken == 3
+                   for i in network.alive_sensor_ids())
+
+    def test_equal_ids_share_the_row(self, mix):
+        network, driver, counts = mix
+        driver.run(1)
+        ids = network.alive_sensor_ids()
+        row = network.read_many(list(ids), "sound")
+        drawn = counts["batch"]
+        assert network.read_many(tuple(ids), "sound") is row
+        assert network.reading_column(list(ids), "sound") is not None
+        assert counts["batch"] == drawn
+
+    def test_kill_and_join_rebuild_the_plan(self, mix):
+        network, driver, counts = mix
+        driver.run(1)
+        victim = next(n for n in network.tree.sensor_ids
+                      if network.tree.is_leaf(n))
+        network.kill_node(victim)
+        driver.run(1)
+        alive = len(network.alive_sensor_ids())
+        assert counts["channel"] == (alive + 1) + alive
+        network.join_node(victim, network.topology.positions[victim],
+                          board=SensorBoard({"sound": network.node(
+                              network.tree.sensor_ids[0]).board.channel(
+                                  "sound")[0]}))
+        before = counts["channel"]
+        network.read_many(network.alive_sensor_ids(), "sound")
+        assert counts["channel"] - before == alive + 1
+
+    def test_dead_id_raises_like_a_scalar_read(self, mix):
+        network, driver, _ = mix
+        driver.run(1)
+        ids = network.alive_sensor_ids()
+        network.read_many(ids, "sound")  # row and plan cached for ids
+        victim = ids[len(ids) // 2]
+        network.node(victim).kill()
+        with pytest.raises(ConfigurationError) as scalar:
+            network.node(victim).read("sound", network.epoch)
+        with pytest.raises(ConfigurationError) as batch:
+            network.read_many(list(ids), "sound")
+        assert str(batch.value) == str(scalar.value)
+        # At the next epoch, before anything is sampled, the ids ahead
+        # of the dead one are booked exactly as a scalar walk books
+        # them, and the ones after it not at all.
+        network.advance_epoch()
+        before = [network.node(i).samples_taken for i in ids]
+        with pytest.raises(ConfigurationError):
+            network.read_many(ids, "sound")
+        booked = [network.node(i).samples_taken - taken
+                  for i, taken in zip(ids, before)]
+        position = ids.index(victim)
+        assert booked == [1] * position + [0] * (len(ids) - position)
