@@ -10,12 +10,12 @@ sits on top of the facade. ``validate_dag`` proves the declaration is
 acyclic, so "the architecture is a DAG" is itself a tested claim, not
 prose (``tests/test_analysis.py``).
 
-Known deliberate exceptions in the tree — ``sensing`` reaching up to
-the columnar backend, ``api`` reaching into ``server.session`` for the
-legacy ``QuerySession``, the lazy ``parallel``/``perf`` and
-``scenarios``/``api`` back-edges — are *not* declared here: they carry
-``# repro: allow[layer-dag]`` pragmas at the import site, so each one
-stays visible, justified and greppable instead of silently blessed.
+Known deliberate exceptions in the tree — ``api`` reaching into
+``server.session`` for the legacy ``QuerySession``, the lazy
+``parallel``/``perf`` and ``scenarios``/``api`` back-edges — are *not*
+declared here: they carry ``# repro: allow[layer-dag]`` pragmas at
+the import site, so each one stays visible, justified and greppable
+instead of silently blessed.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ DEFAULT_ERROR_NAMES = frozenset({
 })
 
 _SUITE_PATTERN = re.compile(r"tests/test_\w+\.py")
-_ORACLE_WORDS = ("oracle", "reference_path", "scalar_path")
+_ORACLE_WORDS = ("oracle", "reference_path")
 
 
 def _is_name(node: ast.AST, *names: str) -> bool:
@@ -68,7 +68,7 @@ class RngDiscipline(Rule):
                     ctx, node,
                     "numpy.random draws from global state the equivalence "
                     "proofs cannot pin; use random.Random streams or "
-                    "columnar.hash01_column")
+                    "sensing.columns.hash01_column")
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if module == "random":
@@ -235,8 +235,8 @@ class SwitchAndProve(Rule):
         "Every optimization ships behind a switch with its unoptimized "
         "oracle in-tree and a byte-equivalence suite (ARCHITECTURE.md "
         "'Switch-and-prove discipline'). A module that branches on "
-        "hotpath/columnar switches must say, in its docstring, which "
-        "oracle and which tests/test_*.py suite hold it to that.")
+        "the hotpath switch must say, in its docstring, which oracle "
+        "and which tests/test_*.py suite hold it to that.")
     node_types = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
@@ -251,7 +251,7 @@ class SwitchAndProve(Rule):
         if not has_suite:
             missing.append("an equivalence suite (tests/test_*.py)")
         if not has_oracle:
-            missing.append("its oracle (reference_path/scalar_path)")
+            missing.append("its oracle (reference_path)")
         yield self.finding(
             ctx, node,
             f"{node.name} branches on the {'/'.join(sorted(switches))} "
@@ -261,13 +261,15 @@ class SwitchAndProve(Rule):
 
     @staticmethod
     def _switches_used(func: ast.AST) -> Set[str]:
+        """Switch modules read in ``func``: ``hotpath.enabled()``
+        calls and direct ``hotpath._enabled`` attribute reads (the
+        idiom of call sites too hot for a function call)."""
         used: Set[str] = set()
         for node in ast.walk(func):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "enabled" \
-                    and _is_name(node.func.value, "hotpath", "columnar"):
-                used.add(node.func.value.id)
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in ("enabled", "_enabled") \
+                    and _is_name(node.value, "hotpath"):
+                used.add(node.value.id)
         return used
 
 

@@ -723,6 +723,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"--sizes wants comma-separated integers, got "
             f"{args.sizes!r}") from None
+    if args.epochs < 1:
+        raise ConfigurationError(
+            f"--epochs must be at least 1, got {args.epochs}")
     churns = tuple(part.strip() for part in args.churn.split(","))
     mixes = tuple(part.strip() for part in args.mixes.split(","))
     cells = sweep_grid(sizes, churns, mixes, epochs=args.epochs,
@@ -838,6 +841,9 @@ def _cmd_perf(args) -> int:
             raise ConfigurationError("fleet sizes must be positive")
     else:
         sizes = FLEET_SIZES
+    if args.repeats < 1:
+        raise ConfigurationError(
+            f"--repeats must be at least 1, got {args.repeats}")
 
     def progress(sample):
         line = (f"N={sample.n_nodes:>5}: "

@@ -1,9 +1,7 @@
 """Columnar epoch kernel: structure-of-arrays batch sensing and masks.
 
-PRs 4–6 made the epoch loop allocation-free but left it object-at-a-
-time: every epoch still walks per-node Python objects. This module is
-the data-layout half of the hot path — readings, filter intervals and
-liveness live in parallel *columns* (one slot per node, aligned to the
+The hot path's data layout: readings, filter intervals and liveness
+live in parallel *columns* (one slot per node, aligned to the
 deployment's sorted alive-id tuple), so the per-epoch inner loops
 become a handful of whole-column operations plus sparse scalar work on
 the rows a mask singles out:
@@ -14,31 +12,28 @@ the rows a mask singles out:
   per board channel (grouped by a sampling plan cached per id-tuple
   value and topology version, shared by every session), vectorizing
   the clamp + ADC quantization — and, for hash-jittered fields, the
-  per-cell uniform draw itself via :func:`hash01_column` — over the
-  column; and
+  per-cell uniform draw itself via
+  :func:`~repro.sensing.columns.hash01_column` — over the column; and
 * **mask-driven passes** — FILA's monitor / answer / filter-install
   loops (:mod:`repro.core.fila`) ask the column helpers below which
   rows actually need Python-level work this epoch and skip the rest.
 
-**Switch-and-prove discipline** (same contract as
-:mod:`repro.network.hotpath`, whose switch this one sits beside): the
-kernel is *semantically invisible*. Every reading, message, byte,
-joule, counter and RNG draw is byte-identical with the kernel on or
-off; ``tests/test_hotpath_equivalence.py`` proves it by driving random
-workloads through reference / hotpath / columnar modes — under both
-backends — and comparing every observable. :func:`scalar_path` is the
-escape hatch the proofs (and ``repro perf``) use to time the
-object-at-a-time hot path without the kernel.
+**Switch-and-prove discipline.** The kernel is part of the hot path
+and runs exactly when :mod:`repro.network.hotpath` is enabled; it is
+*semantically invisible*. Every reading, message, byte, joule, counter
+and RNG draw is byte-identical to the first-principles oracle that
+``hotpath.reference_path()`` restores;
+``tests/test_hotpath_equivalence.py`` proves it by driving random
+workloads through both paths — under both column backends — and
+comparing every observable.
 
-**Backends.** Whole-column math runs on numpy when it is importable
-and on a pure-python ``array``-module backend when it is not (bare
-deployments, the CI job that uninstalls numpy). Both backends produce
-bit-identical columns: the vectorized ops used here (elementwise
-add / min / max and ``np.rint``-based ADC quantization) are IEEE-754
-identical to their scalar equivalents, and anything that is *not*
-order-safe (windowed ``sum`` folds, per-cell Mersenne draws) stays
-scalar on purpose. :func:`force_python_backend` pins the fallback for
-tests even when numpy is installed.
+**Backends.** Columns are numpy arrays when numpy is importable and
+pure-python ``array``/list columns when it is not; the selection lives
+in :mod:`repro.sensing.columns`. Both backends produce bit-identical
+columns: the vectorized ops used here (elementwise add / min / max and
+``np.rint``-based ADC quantization) are IEEE-754 identical to their
+scalar equivalents, and anything that is *not* order-safe (windowed
+``sum`` folds, per-cell Mersenne draws) stays scalar on purpose.
 
 What deliberately stays scalar, and why:
 
@@ -49,10 +44,9 @@ What deliberately stays scalar, and why:
   the object allocation by reusing one instance (``seed()`` resets
   ``gauss_next``, so draws match a fresh instance exactly). Uniform
   jitter (:class:`~repro.sensing.generators.ZipfEventField`) escaped
-  this trap by moving to the counter-based splitmix64 hash
-  (``_cell_hash01``), whose scalar and :func:`hash01_column` forms are
-  bit-identical by construction — ``tests/test_generators.py`` pins
-  them cell by cell;
+  this trap by moving to the counter-based splitmix64 hash, whose
+  scalar and column forms are bit-identical by construction —
+  ``tests/test_generators.py`` pins them cell by cell;
 * float accumulations (windowed AVG/SUM) — ``sum()`` is a left fold,
   numpy reductions are pairwise; not byte-identical, so not batched;
 * message construction and transport — every shipped message must keep
@@ -63,105 +57,13 @@ What deliberately stays scalar, and why:
 
 from __future__ import annotations
 
-import os
 from array import array
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import hotpath
+from ..sensing.columns import numpy_module
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..sensing.modalities import Modality
-
-# --------------------------------------------------------------------
-# Backend selection
-# --------------------------------------------------------------------
-
-#: numpy module when importable (and not disabled), else None. The
-#: REPRO_NO_NUMPY environment variable forces the pure-python backend
-#: process-wide — the CI fallback job and the bench's backend ablation
-#: both use it.
-try:  # pragma: no cover - exercised via both CI environments
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _np = None
-    else:
-        import numpy as _np
-except ImportError:  # pragma: no cover - the no-numpy environment
-    _np = None
-
-#: Test override: True pins the pure-python backend even when numpy
-#: is importable (see :func:`force_python_backend`).
-_force_python = False
-
-
-def numpy_module():
-    """The active numpy module, or None when the pure-python backend
-    is in effect (numpy missing, ``REPRO_NO_NUMPY`` set, or a
-    :func:`force_python_backend` block)."""
-    return None if _force_python else _np
-
-
-def backend() -> str:
-    """``"numpy"`` or ``"python"`` — the active column backend."""
-    return "python" if numpy_module() is None else "numpy"
-
-
-@contextmanager
-def force_python_backend() -> Iterator[None]:
-    """Run the enclosed block on the pure-python column backend.
-
-    The equivalence suite uses this to prove the fallback produces the
-    same bytes as numpy even on hosts where numpy is installed; the
-    real numpy-absent environment is additionally exercised by the CI
-    job that uninstalls numpy.
-    """
-    global _force_python
-    previous = _force_python
-    _force_python = True
-    try:
-        yield
-    finally:
-        _force_python = previous
-
-
-# --------------------------------------------------------------------
-# The switch (beside hotpath.reference_path)
-# --------------------------------------------------------------------
-
-#: The columnar switch. The kernel is only *active* when the hot path
-#: is also enabled: columnar state layers on top of the hot-path
-#: caches, and the reference path must stay the pristine
-#: first-principles oracle.
-_enabled = True
-
-
-def enabled() -> bool:
-    """True when the columnar kernel is active (columnar switch on AND
-    the hot path enabled — :func:`hotpath.reference_path` therefore
-    disables this kernel too)."""
-    return _enabled and hotpath._enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Globally select the columnar (True) or object-at-a-time (False)
-    epoch kernel. Takes effect on the next batch read / epoch pass."""
-    global _enabled
-    _enabled = bool(value)
-
-
-@contextmanager
-def scalar_path() -> Iterator[None]:
-    """Run the enclosed block on the object-at-a-time hot path (the
-    PR 6 kernel): hot-path caches stay on, columns are bypassed. The
-    equivalence suite and ``repro perf`` use this to hold the columnar
-    kernel to the scalar hot path, isolating the data-layout speedup
-    from the caching speedup."""
-    previous = _enabled
-    set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(previous)
 
 
 # --------------------------------------------------------------------
@@ -229,46 +131,6 @@ def clamp_column(values: Sequence[float], modality: "Modality"
     column = np.asarray(values, dtype=np.float64)
     return np.minimum(modality.hi,
                       np.maximum(modality.lo, column)).tolist()
-
-
-def clamp_values(values: Sequence[float], lo: float, hi: float
-                 ) -> list[float]:
-    """Elementwise ``min(hi, max(lo, v))`` — the field generators'
-    range clamp, vectorized; IEEE-identical to the scalar form."""
-    np = numpy_module()
-    if np is None:
-        return [min(hi, max(lo, value)) for value in values]
-    column = np.asarray(values, dtype=np.float64)
-    return np.minimum(hi, np.maximum(lo, column)).tolist()
-
-
-def hash01_column(seed: int, node_ids: Sequence[int], epoch: int):
-    """One splitmix64 uniform in ``[0, 1)`` per (node, epoch) cell.
-
-    The vectorized twin of
-    :func:`repro.sensing.generators._cell_hash01` — same linear cell
-    seed, same finalizer constants, wrapped mod 2**64 (numpy's uint64
-    wraparound equals the scalar path's explicit masking), and the
-    ``(h >> 11) * 2**-53`` float conversion is exact in both (the
-    mantissa fits 53 bits). ``tests/test_generators.py`` pins the two
-    together cell-by-cell.
-
-    Returns a numpy float64 array, or a plain list on the pure-python
-    backend (one scalar hash per cell — still ~300x cheaper than
-    per-cell Mersenne seeding).
-    """
-    np = numpy_module()
-    if np is None:
-        from ..sensing.generators import _cell_hash01
-        return [_cell_hash01(seed, node_id, epoch) for node_id in node_ids]
-    mask64 = (1 << 64) - 1
-    ids = np.asarray(node_ids, dtype=np.uint64)
-    h = ((np.uint64((seed * 1_000_003) & mask64) + ids)
-         * np.uint64(1_000_033) + np.uint64(epoch & mask64))
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    h ^= h >> np.uint64(31)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 # --------------------------------------------------------------------

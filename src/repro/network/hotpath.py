@@ -4,8 +4,8 @@ The simulator's epoch loop carries several caches that exist purely for
 speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, per-tree traversal-order caches, per-epoch traffic batching,
 and the engines' fused per-epoch passes (MINT's prune+update
-converge-cast, TAG's aggregation converge-cast, FILA's monitor+bounds
-pass and repartition-order memo) — all of which are *semantically
+converge-cast, TAG's aggregation converge-cast, FILA's column-masked
+monitor, repartition and answer passes) — all of which are *semantically
 invisible*: with the caches on or off, every message, byte, joule and
 per-phase snapshot is identical.
 
@@ -30,15 +30,11 @@ scenarios through both modes and compares answers and
 :class:`~repro.network.stats.NetworkStats` byte-for-byte, and the
 ``repro perf --compare-reference`` harness prices the speedup.
 
-A second, finer switch sits beside this one:
-:mod:`repro.network.columnar` selects between the object-at-a-time hot
-path and the structure-of-arrays columnar kernel (batched sensing,
-mask-driven passes). It layers *on top of* this switch — the columnar
-kernel is only active when the hot path is, so
-:func:`reference_path` always yields the pristine first-principles
-oracle — and follows the same switch-and-prove contract
-(``columnar.scalar_path()``, proved by the same equivalence suite,
-priced by ``benchmarks/bench_e16_columnar.py``).
+The hot path includes the structure-of-arrays columnar kernel
+(:mod:`repro.network.columnar`: batched sensing, mask-driven FILA
+passes) on either column backend (numpy, or the pure-python fallback
+pinned by :func:`repro.sensing.columns.force_python_backend`). This is
+the only switch: one oracle, one hot path.
 """
 
 from __future__ import annotations

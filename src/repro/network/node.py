@@ -5,6 +5,11 @@ sensor board, its local history window, and its cluster (room)
 membership. Algorithm state (views, filters, candidate caches) lives in
 the algorithm objects in :mod:`repro.core`, mirroring how the real
 KSpot client keeps the top-k operator separate from the node firmware.
+
+:meth:`SensorNode.read` serves a live node's same-epoch cached sample
+without the board checks while the hot path is enabled; the oracle
+``hotpath.reference_path()`` re-runs every check, and
+``tests/test_hotpath_equivalence.py`` holds the two byte-identical.
 """
 
 from __future__ import annotations
@@ -122,35 +127,17 @@ class SensorNode:
             self._charge_flash(before)
         return value
 
-    def store_sample(self, attribute: str, epoch: int, value: float) -> None:
-        """Book a physically-acquired sample exactly as :meth:`read` does.
-
-        The columnar kernel samples a whole id column in one batch
-        (:meth:`repro.network.simulator.Network.read_many`) and then
-        books each value here — counter increment, same-epoch cache,
-        history window, flash — so per-node state is byte-identical to
-        a scalar :meth:`read`. The caller has already charged sensing
-        energy and performed the liveness/board checks in scalar order.
-        """
-        self.samples_taken += 1
-        self._sample_cache[attribute] = (epoch, value)
-        self.window_for(attribute).append(epoch, value)
-        if self.flash_index is not None:
-            before = self.flash_index.flash.stats.joules
-            self.flash_index.insert(epoch, value)
-            self._charge_flash(before)
-
     # repro: hot
     def book_sample(self, attribute: str, epoch: int, value: float,
                     cost_joules: float) -> float:
         """One fused booking call for the planned batch-sampling loop.
 
-        Equivalent to the same-epoch-cache check of :meth:`read`
-        followed by ``ledger.charge_sensing(cost)`` +
-        :meth:`store_sample` on a miss — collapsed into a single
-        method because :meth:`repro.network.simulator.Network.read_many`
-        calls it for every freshly-drawn row and the call overhead was
-        measurable. The caller's sampling plan guarantees this node is
+        Equivalent to :meth:`read` with the board draw done by the
+        caller: the same-epoch-cache check, then on a miss the sensing
+        charge, the sample counter, the same-epoch cache, the history
+        window and flash — one method because
+        :meth:`repro.network.simulator.Network.read_many` calls it for
+        every freshly-drawn row and the call overhead was measurable. The caller's sampling plan guarantees this node is
         alive with a board (every node death or join drops the
         network's plans), so the liveness/board checks are hoisted; the
         caller also pre-filters same-epoch-fresh rows, making the

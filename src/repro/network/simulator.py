@@ -26,11 +26,10 @@ observationally identical to the reference path — same counters, same
 per-phase snapshots, same RNG draws — which stays available as the
 oracle via :func:`repro.network.hotpath.reference_path`;
 ``tests/test_hotpath_equivalence.py`` proves the equivalence
-byte-for-byte. The second switch, the columnar kernel
-(:mod:`repro.network.columnar`), batches :meth:`Network.read_many`
-per board channel; its oracle is
-:func:`repro.network.columnar.scalar_path`, proved in the same suite.
-Messages always ship inline:
+byte-for-byte. On the hot path :meth:`Network.read_many` also batches
+acquisition per board channel through the columnar kernel
+(:mod:`repro.network.columnar`); the reference path reads node by
+node. Messages always ship inline:
 a send charges its energy and counters in the caller's frame.
 
 Randomness is split into *per-purpose streams*: the packet-loss process
@@ -559,13 +558,13 @@ class Network:
         """One epoch's readings for a whole id column, in id order.
 
         Byte-identical to ``{n: self.nodes[n].read(attribute, epoch)
-        for n in node_ids}`` — that *is* the code path with the
-        columnar kernel off. With it on, nodes still needing a physical
+        for n in node_ids}`` — that *is* the code path on the
+        reference path. On the hot path, nodes still needing a physical
         sample are grouped by board channel and acquired through one
         :meth:`~repro.sensing.generators.FieldGenerator.batch_values`
         call plus a vectorized clamp/quantize per channel, then booked
         per node exactly as a scalar read
-        (:meth:`~repro.network.node.SensorNode.store_sample`). The
+        (:meth:`~repro.network.node.SensorNode.book_sample`). The
         sampling plan is cached per (attribute, id-tuple value,
         topology version) and the row per (attribute, id-tuple value,
         epoch), so N concurrent sessions naming the same ids — as a
@@ -576,7 +575,7 @@ class Network:
         :meth:`sample_all` does).
         """
         nodes, epoch = self.nodes, self.epoch
-        if not (columnar._enabled and hotpath._enabled):
+        if not hotpath._enabled:
             return {node_id: nodes[node_id].read(attribute, epoch)
                     for node_id in node_ids}
         ids_key = node_ids if type(node_ids) is tuple else tuple(node_ids)

@@ -12,10 +12,10 @@ and per-node noise, reproducing the "rooms with active discussions"
 scenario of the paper's Figure 1).
 
 Per-cell randomness comes from one of two sources: a seeded Mersenne
-cell (:func:`_rng_for`), which carries the Gaussian sensor noise, and a
-counter-based hash (:func:`_cell_hash01`), which carries uniform
-jitter and vectorizes over a whole column. Batch paths reproduce the
-scalar bytes of either source exactly.
+cell (:func:`_rng_for`), which carries the Gaussian sensor noise, and
+a counter-based hash (:func:`~repro.sensing.columns.cell_hash01`),
+which carries uniform jitter and vectorizes over a whole column. Batch
+paths reproduce the scalar bytes of either source exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from abc import ABC, abstractmethod
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
+from .columns import cell_hash01, clamp_values, hash01_column, numpy_module
 from .modalities import Modality
 
 
@@ -50,31 +51,6 @@ def _cell_seed(seed: int, node_id: int, epoch: int) -> int:
     return (seed * 1_000_003 + node_id) * 1_000_033 + epoch
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _cell_hash01(seed: int, node_id: int, epoch: int) -> float:
-    """A uniform float in ``[0, 1)`` from one splitmix64 finalizer.
-
-    Counter-based: the cell coordinates *are* the state, so there is
-    no sequential stream to advance and the whole column can be hashed
-    at once (:func:`repro.network.columnar.hash01_column` is the
-    vectorized twin; the equivalence suite pins the two together).
-    Fields that need exactly one uniform per cell
-    (:class:`ZipfEventField` jitter) use this instead of seeding a
-    Mersenne Twister per cell — full-state MT seeding costs ~6µs per
-    cell, ~300x the hash. Gaussian draws (:class:`RoomField` noise)
-    keep the per-cell Mersenne stream: ``gauss`` consumes a variable
-    number of uniforms plus ``log``/``sqrt``, which does not vectorize
-    byte-identically.
-    """
-    h = ((seed * 1_000_003 + node_id) * 1_000_033 + epoch) & _MASK64
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-    h ^= h >> 31
-    return (h >> 11) * 2.0 ** -53
-
-
 class FieldGenerator(ABC):
     """Produces the physical value sensed by a node at an epoch."""
 
@@ -89,9 +65,9 @@ class FieldGenerator(ABC):
         Byte-identical to ``[self.value(n, epoch) for n in node_ids]``
         — that *is* the default implementation. Fields whose per-cell
         work vectorizes (:class:`RoomField`, :class:`ZipfEventField`)
-        override it for the columnar kernel
-        (:mod:`repro.network.columnar`); the equivalence suite holds
-        every override to the scalar loop.
+        override it for the batched reads of
+        :meth:`repro.network.simulator.Network.read_many`; the
+        equivalence suite holds every override to the scalar loop.
         """
         return [self.value(node_id, epoch) for node_id in node_ids]
 
@@ -247,7 +223,8 @@ class ZipfEventField(ClusterField):
     saves the most traffic. Group ``r`` (by popularity rank) has expected
     magnitude proportional to ``1 / (r+1)^s``; per-epoch jitter is
     uniform within ±``jitter``, drawn from the counter-based per-cell
-    hash (:func:`_cell_hash01`) so the batch path vectorizes it exactly.
+    hash (:func:`~repro.sensing.columns.cell_hash01`) so the batch path
+    vectorizes it exactly.
     """
 
     #: The per-cell jitter RNG stream offset (distinct per field kind).
@@ -303,7 +280,7 @@ class ZipfEventField(ClusterField):
             return self._lo
         base = self._level[group]
         jitter = self._jitter
-        jit = _cell_hash01(self._seed ^ self._STREAM, node_id, epoch) \
+        jit = cell_hash01(self._seed ^ self._STREAM, node_id, epoch) \
             * (jitter + jitter) - jitter
         return min(self._hi, max(self._lo, base + jit))
 
@@ -313,10 +290,7 @@ class ZipfEventField(ClusterField):
         run as whole-column ops (byte-identical; see base class —
         elementwise ``*``/``-``/``+`` and ``minimum``/``maximum`` are
         IEEE-identical to the scalar expressions in :meth:`value`)."""
-        # repro: allow[layer-dag] -- the column backend (numpy/array pair) lives beside its switch in network/columnar; lazy import so sensing stays importable below network
-        from ..network import columnar
-
-        np_ = columnar.numpy_module()
+        np_ = numpy_module()
         if np_ is None:
             # Pure-python backend: the scalar loop *is* the batch.
             return [self.value(node_id, epoch) for node_id in node_ids]
@@ -347,8 +321,7 @@ class ZipfEventField(ClusterField):
             # alive tuple is rebuilt on any churn.
             self._base_cache = (node_ids, self._membership_version,
                                 base, unknown)
-        u = columnar.hash01_column(self._seed ^ self._STREAM,
-                                   node_ids, epoch)
+        u = hash01_column(self._seed ^ self._STREAM, node_ids, epoch)
         values = np_.minimum(hi, np_.maximum(
             lo, base + (u * (jitter + jitter) - jitter)
         )).tolist()
@@ -410,9 +383,6 @@ class RoomField(ClusterField):
         """Batch :meth:`value`: room levels resolved once per room,
         one reused per-cell RNG for the sensor noise, clamp vectorized
         over the column (byte-identical; see base class)."""
-        # repro: allow[layer-dag] -- column backend lives beside its switch in network/columnar, same contract as ZipfEventField.batch_values
-        from ..network import columnar
-
         cluster_of = self._cluster_of
         seed = self._seed ^ self._STREAM
         sigma = self._sigma
@@ -429,7 +399,7 @@ class RoomField(ClusterField):
                 level = levels[room] = self.room_level(room, epoch)
             rng.seed(_cell_seed(seed, node_id, epoch))
             raw.append(level + rng.gauss(0.0, sigma))
-        return columnar.clamp_values(raw, self._lo, self._hi)
+        return clamp_values(raw, self._lo, self._hi)
 
 
 class TableField(FieldGenerator):

@@ -89,6 +89,32 @@ class TestFixtureSuite:
         ]
 
 
+class TestSwitchAndProve:
+    """The switch-and-prove rule sees every way hot code reads the
+    switch, and accepts only the oracle that still exists."""
+
+    def test_direct_switch_read_fires(self, tmp_path):
+        """Call sites too hot for ``hotpath.enabled()`` read the module
+        attribute directly; that still branches on the switch."""
+        snippet = tmp_path / "snippet.py"
+        snippet.write_text(
+            '"""No proof named here."""\n\n'
+            "from repro.network import hotpath\n\n\n"
+            "def read(cache):\n"
+            "    if cache and hotpath._enabled:\n"
+            "        return cache\n"
+            "    return None\n")
+        report = lint_paths([snippet])
+        assert [f.rule for f in report.findings] == ["switch-and-prove"]
+
+    def test_reference_path_is_the_only_oracle_name(self):
+        """With one hot path left, only the reference path (or a
+        docstring that says "oracle") discharges the obligation."""
+        from repro.analysis import rules
+
+        assert rules._ORACLE_WORDS == ("oracle", "reference_path")
+
+
 class TestPragmas:
     def test_justified_pragma_suppresses_and_records(self, tmp_path):
         snippet = tmp_path / "snippet.py"

@@ -392,3 +392,28 @@ class TestSweepCommand:
     def test_bad_sizes_rejected(self, capsys):
         assert main(["sweep", "--sizes", "ten"]) == 2
         assert "comma-separated integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_non_positive_epochs_rejected_before_work(
+            self, tmp_path, capsys, epochs):
+        output = tmp_path / "BENCH_sweep.json"
+        assert main(["sweep", "--sizes", "25", "--epochs", epochs,
+                     "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --epochs must be at least 1")
+        assert captured.out == ""
+        assert not output.exists()
+
+
+class TestPerfCommand:
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_non_positive_repeats_rejected_before_work(
+            self, tmp_path, capsys, repeats):
+        output = tmp_path / "BENCH_perf.json"
+        assert main(["perf", "--repeats", repeats, "--sizes", "25",
+                     "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: --repeats must be at least 1")
+        assert captured.out == ""
+        assert not output.exists()

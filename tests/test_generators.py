@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network import columnar
-from repro.network.columnar import hash01_column
+from repro.sensing.columns import (
+    cell_hash01,
+    force_python_backend,
+    hash01_column,
+)
 from repro.sensing.generators import (
     ConstantField,
     DiurnalField,
@@ -14,7 +17,6 @@ from repro.sensing.generators import (
     TableField,
     UniformRandomField,
     ZipfEventField,
-    _cell_hash01,
 )
 from repro.sensing.modalities import get_modality
 
@@ -194,8 +196,8 @@ class TestComposition:
 
 
 class TestCellHashRNG:
-    """The counter-based jitter RNG (``_cell_hash01``) and its
-    vectorized twin (``repro.network.columnar.hash01_column``) draw
+    """The counter-based jitter RNG (``cell_hash01``) and its
+    vectorized twin (``repro.sensing.columns.hash01_column``) draw
     the same bits for the same (seed, node, epoch) cell — the scalar
     splitmix64 finalizer masks to 64 bits exactly where numpy's uint64
     arithmetic wraps, so the columns are pinned bit-for-bit."""
@@ -210,18 +212,18 @@ class TestCellHashRNG:
     def test_column_matches_scalar(self):
         for seed, ids, epoch in self.CELLS:
             column = hash01_column(seed, ids, epoch)
-            assert list(column) == [_cell_hash01(seed, n, epoch)
+            assert list(column) == [cell_hash01(seed, n, epoch)
                                     for n in ids]
 
     def test_column_matches_scalar_python_backend(self):
-        with columnar.force_python_backend():
+        with force_python_backend():
             for seed, ids, epoch in self.CELLS:
                 column = hash01_column(seed, ids, epoch)
-                assert list(column) == [_cell_hash01(seed, n, epoch)
+                assert list(column) == [cell_hash01(seed, n, epoch)
                                         for n in ids]
 
     def test_unit_interval_and_spread(self):
-        draws = [_cell_hash01(1, n, e)
+        draws = [cell_hash01(1, n, e)
                  for n in range(50) for e in range(4)]
         assert all(0.0 <= d < 1.0 for d in draws)
         assert len(set(draws)) == len(draws)
@@ -247,7 +249,7 @@ class TestBatchValues:
         field = ZipfEventField(self.GROUPS, 0, 100, skew=1.2,
                                jitter=3.0, seed=7, margin=4.0)
         ids = tuple(range(1, 21)) + (999,)
-        with columnar.force_python_backend():
+        with force_python_backend():
             fallback = field.batch_values(ids, 5)
         assert fallback == field.batch_values(ids, 5)
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
 from repro.errors import RoutingError
-from repro.network import columnar, hotpath
+from repro.network import hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
 from repro.network.link import RadioModel
 from repro.network.messages import ControlMessage
@@ -35,6 +35,7 @@ from repro.network.simulator import Network
 from repro.network.topology import grid_topology
 from repro.query.plan import Algorithm
 from repro.scenarios import grid_rooms_scenario
+from repro.sensing.columns import force_python_backend
 
 
 def stats_signature(stats):
@@ -359,11 +360,12 @@ class TestPerPurposeRngStreams:
 
 
 class TestColumnarEquivalence:
-    """The columnar epoch kernel (``repro.network.columnar``) is held
-    to the same discipline as the hot path itself: batched sensing,
-    the value-keyed sampling-plan and row caches and the vectorized Zipf
-    jitter must be invisible — same answers, counters, ledgers and RNG
-    draws as the scalar path, under either numeric backend."""
+    """The columnar epoch kernel (``repro.network.columnar``) is part
+    of the hot path and held to the same oracle: batched sensing, the
+    value-keyed sampling-plan and row caches, the vectorized Zipf
+    jitter and FILA's column-masked passes must be invisible — same
+    answers, counters, ledgers and RNG draws as ``reference_path()``,
+    under either column backend."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -372,27 +374,26 @@ class TestColumnarEquivalence:
                          min_size=1, max_size=3, unique=True),
         churn_seed=st.one_of(st.none(), st.integers(0, 7)),
     )
-    def test_columnar_equals_scalar_path(self, seed, engines,
-                                         churn_seed):
+    def test_hot_equals_reference_either_backend(self, seed, engines,
+                                                 churn_seed):
         kwargs = dict(seed=seed, k=2, agg="AVG", engines=engines,
                       epochs=5, churn_seed=churn_seed)
-        with columnar.scalar_path():
-            scalar = run_workload(**kwargs)
-        assert columnar.enabled(), "scalar_path() must restore the flag"
-        assert run_workload(**kwargs) == scalar
+        with hotpath.reference_path():
+            reference = run_workload(**kwargs)
+        assert run_workload(**kwargs) == reference
+        with force_python_backend():
+            assert run_workload(**kwargs) == reference
 
     def test_columnar_equals_reference_path(self):
-        """Three-way: the columnar kernel, the scalar hot path and the
-        unoptimized reference path produce identical observables on
-        the full five-engine mix with churn."""
+        """The hot path (columnar kernel included) and the unoptimized
+        reference path produce identical observables on the full
+        five-engine mix with churn."""
         kwargs = dict(seed=4321, k=2, agg="MAX",
                       engines=sorted(QUERY_BY_ENGINE), epochs=5,
                       churn_seed=2)
-        with hotpath.reference_path(), columnar.scalar_path():
+        with hotpath.reference_path():
             reference = run_workload(**kwargs)
-        with columnar.scalar_path():
-            scalar = run_workload(**kwargs)
-        assert run_workload(**kwargs) == scalar == reference
+        assert run_workload(**kwargs) == reference
 
     def test_python_backend_matches_numpy(self):
         """The pure-python fallback draws the same values as the numpy
@@ -402,51 +403,60 @@ class TestColumnarEquivalence:
                       engines=["mint", "fila", "tag"], epochs=5,
                       churn_seed=1)
         default = run_workload(**kwargs)
-        with columnar.force_python_backend():
+        with force_python_backend():
             assert run_workload(**kwargs) == default
 
 
+def zipf_fila_deployment(side: int, seed: int):
+    """A ``side``×``side`` grid in 16 rooms over one shared
+    ZipfEventField, monitored by a single FILA MAX top-25 session —
+    the workload the columnar kernel was built for: one
+    ``batch_values`` call covers the whole fleet and FILA's filters
+    mostly hold, so the column-masked passes skip almost every row.
+    ``margin=8.0 >= jitter`` keeps readings off the ``[lo, hi]`` rails,
+    where clamped ties would drown the masks in ``known == value``
+    coincidences. Returns ``(session, network)``."""
+    from repro.core.aggregates import make_aggregate
+    from repro.core.fila import Fila
+    from repro.sensing.board import SensorBoard
+    from repro.sensing.generators import ZipfEventField
+
+    topology = grid_topology(side, spacing=10.0, radio_range=15.0)
+    block = max(1, side // 4)
+    room_of = {}
+    for node_id in range(1, side * side + 1):
+        row, col = divmod(node_id - 1, side)
+        room_of[node_id] = f"R{min(row // block, 3)}{min(col // block, 3)}"
+    zipf = ZipfEventField(room_of, lo=0.0, hi=100.0, skew=2.0,
+                          jitter=6.0, seed=seed, margin=8.0)
+    boards = {i: SensorBoard({"sound": zipf}) for i in room_of}
+    network = Network(topology, boards=boards, group_of=room_of)
+    session = Fila(network, make_aggregate("MAX", 0.0, 100.0), 25,
+                   attribute="sound")
+    return session, network
+
+
 class TestZipfColumnarKernel:
-    """The benchmark workload itself (shared ZipfEventField, hashed
-    jitter, FILA MAX) is equivalence-tested here at unit scale so the
-    proof doesn't live only inside ``measure_columnar``."""
+    """The columnar kernel's anchor workload (shared ZipfEventField,
+    hashed jitter, FILA MAX) on the hot path, on the pure-python
+    backend and on the reference path: three runs, one stream."""
 
     @staticmethod
     def _stream():
-        from repro.perf import columnar_fleet
-
-        session, network = columnar_fleet(64, seed=5)
+        session, network = zipf_fila_deployment(8, seed=5)
         results = [
             (r.epoch, tuple(r.items), r.exact, dict(r.all_bounds))
             for r in session.run(8)
         ]
         joules = sum(n.ledger.total for n in network.nodes.values())
         samples = sum(n.samples_taken for n in network.nodes.values())
-        return results, joules, samples
+        return results, joules, samples, stats_signature(network.stats)
 
     def test_all_modes_identical(self):
         default = self._stream()
-        with columnar.scalar_path():
-            scalar = self._stream()
-        with columnar.force_python_backend():
+        with hotpath.reference_path():
+            reference = self._stream()
+        with force_python_backend():
             fallback = self._stream()
-        assert default == scalar
+        assert default == reference
         assert default == fallback
-
-
-class TestScalarPathToggle:
-    def test_toggle_restores_on_error(self):
-        try:
-            with columnar.scalar_path():
-                assert not columnar.enabled()
-                raise ValueError("boom")
-        except ValueError:
-            pass
-        assert columnar.enabled()
-
-    def test_nested_toggle(self):
-        with columnar.scalar_path():
-            with columnar.scalar_path():
-                assert not columnar.enabled()
-            assert not columnar.enabled()
-        assert columnar.enabled()
