@@ -20,7 +20,26 @@ phases, as the paper sketches them:
    candidate set can beat it — and the join repeats.
 
 Object scores combine across nodes with the same partial-aggregate
-algebra MINT uses, so TJA here supports AVG / SUM / MIN / MAX ranking.
+algebra MINT uses, so TJA here supports AVG / SUM / MIN / MAX / COUNT
+ranking.
+
+LB and HJ run on a hot path while ``hotpath.enabled()`` (see
+:mod:`repro.network.hotpath`). Every node's column is ranked once per
+execution — values laid out in ``str(object_id)`` order, then a stable
+index sort, which reproduces :func:`~repro.core.results.rank_key`'s
+order ties included — and that one ranking feeds both LB's top-k
+nominations and HJ's k-th-value threshold. HJ then carries one dense
+value row per subtree, aligned with the sorted candidate tuple, plus a
+single count (every non-empty column covers the same universe), folds
+rows with the aggregate's :attr:`~repro.core.aggregates.Aggregate.combine`
+in tree order, and builds partials only at the sink. Both phases ship
+by size (:meth:`~repro.network.messages.LBReplyMessage.wire_bytes`,
+:meth:`~repro.network.messages.JoinReplyMessage.wire_bytes`). The
+per-object reference phases remain the oracle that
+``hotpath.reference_path()`` restores, and
+``tests/test_hotpath_equivalence.py`` (``TestTjaHotEqualsReference``
+and the session-level suites) holds the two paths to identical
+answers, traffic, stats, energy and loss-stream draws.
 """
 
 from __future__ import annotations
@@ -29,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import ProtocolError, ValidationError
+from ..network import hotpath
 from ..network.messages import (
     CandidateSetMessage,
     ControlMessage,
@@ -86,12 +106,18 @@ class Tja:
             raise ValidationError("TJA needs at least one non-empty series")
         universe = set(self.series[participants[0]])
         for node in participants[1:]:
-            if set(self.series[node]) != universe:
+            if self.series[node].keys() != universe:
                 raise ValidationError(
                     "TJA requires aligned history windows "
                     "(same object ids on every node)"
                 )
         self.universe = universe
+        #: Hot-path ranking of every non-empty column (see
+        #: :meth:`_rank_columns`), computed once per execution.
+        self._ranked: (dict[int, tuple[list[int], list[float], float]]
+                       | None) = None
+        #: object id → index in ``str(object_id)`` order.
+        self._position: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Local computations
@@ -111,12 +137,48 @@ class Tja:
         ranked = sorted(column.values(), reverse=True)
         return ranked[min(self.k, len(ranked)) - 1]
 
+    # repro: hot
+    def _rank_columns(self) -> dict[int, tuple[list[int], list[float], float]]:
+        """Hot path: rank every non-empty column once per execution.
+
+        Returns node id → (top-k object ids best first, the column's
+        lifted values in ``str(object_id)`` order, the lifted k-th
+        value). Sorting indices by value, descending, over that layout
+        is stable, so ties keep ascending ``str(object_id)`` order —
+        exactly :meth:`_local_top_k`'s :func:`rank_key` order — and the
+        k-th value is :meth:`_local_threshold`'s.
+        """
+        ranked = self._ranked
+        if ranked is not None:
+            return ranked
+        ids = sorted(self.universe, key=str)
+        self._position = {object_id: i for i, object_id in enumerate(ids)}
+        width = len(ids)
+        kth = min(self.k, width) - 1
+        k = self.k
+        lift_row = self.aggregate.lift_row
+        by_index = ids.__getitem__
+        ranked = {}
+        for node_id, column in self.series.items():
+            if not column:
+                continue
+            values = list(map(column.__getitem__, ids))
+            order = sorted(range(width), key=values.__getitem__,
+                           reverse=True)
+            lifted = lift_row(values)
+            ranked[node_id] = (list(map(by_index, order[:k])), lifted,
+                               lifted[order[kth]])
+        self._ranked = ranked
+        return ranked
+
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
 
     def _lower_bound_phase(self) -> set[int]:
         """Hierarchical union of local top-k ids."""
+        if hotpath.enabled():
+            return self._lower_bound_hot()
         unions: dict[int, set[int]] = {}
         l_sink: set[int] = set()
         with self.network.stats.phase("LB"):
@@ -133,6 +195,40 @@ class Tja:
                     unions[node_id] = nominated
         return l_sink
 
+    # repro: hot
+    def _lower_bound_hot(self) -> set[int]:
+        """:meth:`_lower_bound_phase` on the hot path: nominations come
+        from the shared ranking and each reply ships by its size. The
+        sink takes the union of its children's unions last, as the
+        reference does as their replies arrive."""
+        network = self.network
+        children_of = network.tree.children
+        parents = network.tree._parents
+        ship_unicast = network._ship_unicast
+        wire_bytes = LBReplyMessage.wire_bytes
+        kind = LBReplyMessage.kind
+        sink_id = network.sink_id
+        unions: dict[int, set[int]] = {}
+        with network.stats.phase("LB"):
+            ranked = self._rank_columns()
+            message = QueryMessage(query_id=2)
+            network.flood_down(lambda _: message)
+            for node_id in (*network.converge_cast_order(), sink_id):
+                own = None if node_id == sink_id else ranked.get(node_id)
+                nominated = set(own[0]) if own is not None else set()
+                for child in children_of(node_id):
+                    child_union = unions.get(child)
+                    if child_union:
+                        nominated |= child_union
+                if node_id == sink_id:
+                    break
+                # Every node in the converge-cast order is alive and
+                # non-root, so the send_up guards are vacuous here.
+                ship_unicast(node_id, parents[node_id], kind,
+                             wire_bytes(len(nominated)))
+                unions[node_id] = nominated
+        return nominated
+
     def _join_phase(self, candidates: set[int], phase_name: str = "HJ",
                     include_threshold: bool = True,
                     ) -> tuple[dict[int, Partial], Partial | None]:
@@ -142,6 +238,8 @@ class Tja:
         threshold partial (each node's k-th local value folded with the
         aggregate algebra — the upper bound for unseen objects).
         """
+        if hotpath.enabled():
+            return self._join_hot(candidates, phase_name, include_threshold)
         ordered = tuple(sorted(candidates))
         joined: dict[int, Partial] = {}
         threshold: Partial | None = None
@@ -203,6 +301,77 @@ class Tja:
         if not include_threshold:
             threshold = None
         return joined, threshold
+
+    # repro: hot
+    def _join_hot(self, candidates: set[int], phase_name: str,
+                  include_threshold: bool,
+                  ) -> tuple[dict[int, Partial], Partial | None]:
+        """:meth:`_join_phase` on the hot path.
+
+        Every non-empty column covers the whole universe, so a subtree's
+        joined partials are one value row aligned with the sorted
+        candidate tuple plus one count (its participants). Rows fold
+        child by child in tree order with the aggregate's ``combine``
+        — the same operands in the same order as the reference merges,
+        so floats match bit for bit. The sink folds its children's
+        rows last, in the order their replies arrive, and only there do
+        rows become partials.
+        """
+        network = self.network
+        combine = self.aggregate.combine
+        children_of = network.tree.children
+        parents = network.tree._parents
+        ship_unicast = network._ship_unicast
+        wire_bytes = JoinReplyMessage.wire_bytes
+        kind = JoinReplyMessage.kind
+        sink_id = network.sink_id
+        ordered = tuple(sorted(candidates))
+        rows: dict[int, list[float] | None] = {}
+        counts: dict[int, int] = {}
+        thresholds: dict[int, tuple[float, int]] = {}
+        with network.stats.phase(phase_name):
+            ranked = self._rank_columns()
+            position = self._position
+            picks = [position[object_id] for object_id in ordered]
+            message = CandidateSetMessage(object_ids=ordered)
+            network.flood_down(lambda _: message)
+            for node_id in (*network.converge_cast_order(), sink_id):
+                own = None if node_id == sink_id else ranked.get(node_id)
+                if own is None:
+                    row = None
+                    count = 0
+                    combined = None
+                else:
+                    row = list(map(own[1].__getitem__, picks))
+                    count = 1
+                    combined = (own[2], 1) if include_threshold else None
+                for child in children_of(node_id):
+                    child_row = rows.get(child)
+                    if child_row is not None:
+                        row = (child_row if row is None
+                               else list(map(combine, row, child_row)))
+                        count += counts[child]
+                    child_threshold = thresholds.get(child)
+                    if child_threshold is not None:
+                        combined = (
+                            child_threshold if combined is None
+                            else (combine(combined[0], child_threshold[0]),
+                                  combined[1] + child_threshold[1]))
+                if node_id == sink_id:
+                    break
+                # Every node in the converge-cast order is alive and
+                # non-root, so the send_up guards are vacuous here.
+                ship_unicast(node_id, parents[node_id], kind,
+                             wire_bytes(len(row) if row is not None else 0))
+                rows[node_id] = row
+                counts[node_id] = count
+                if combined is not None:
+                    thresholds[node_id] = combined
+        joined: dict[int, Partial] = {}
+        if row is not None:
+            for object_id, value in zip(ordered, row):
+                joined[object_id] = Partial(value, count)
+        return joined, Partial(*combined) if combined is not None else None
 
     def _expansion_tau(self, tau: float) -> float:
         """Per-node nomination threshold that certifies the expansion.

@@ -3,11 +3,14 @@
 The simulator's epoch loop carries several caches that exist purely for
 speed — the memoized :func:`~repro.network.packets.fragment` cost
 model, per-tree traversal-order caches, per-epoch traffic batching,
-and the engines' fused per-epoch passes (MINT's prune+update
+the engines' fused per-epoch passes (MINT's prune+update
 converge-cast, TAG's aggregation converge-cast, FILA's column-masked
-monitor, repartition and answer passes) — all of which are *semantically
-invisible*: with the caches on or off, every message, byte, joule and
-per-phase snapshot is identical.
+monitor, repartition and answer passes) and TJA's historic passes (one
+ranking per history column feeding LB's nominations and HJ's
+threshold, and an HJ join over dense value rows, both shipping by
+size) — all of which are *semantically invisible*: with the caches on
+or off, every message, byte, joule and per-phase snapshot is
+identical.
 
 The switch also selects the sinks' certification strategy: on the hot
 path each session maintains an incremental

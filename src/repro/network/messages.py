@@ -186,9 +186,16 @@ class LBReplyMessage(WireMessage):
     object_ids: tuple[int, ...]
     kind: str = field(default="lb_reply", init=False)
 
+    @staticmethod
+    def wire_bytes(n_ids: int) -> int:
+        """The payload size of a reply carrying ``n_ids`` object ids
+        (the one definition of the layout; TJA's hot LB pass ships by
+        it without building the message)."""
+        return n_ids * SZ_OBJECT_ID
+
     @property
     def payload_bytes(self) -> int:
-        return len(self.object_ids) * SZ_OBJECT_ID
+        return LBReplyMessage.wire_bytes(len(self.object_ids))
 
 
 @dataclass(frozen=True)
@@ -216,9 +223,16 @@ class JoinReplyMessage(WireMessage):
     threshold_count: int
     kind: str = field(default="join_reply", init=False)
 
+    @staticmethod
+    def wire_bytes(n_items: int) -> int:
+        """The payload size of a reply carrying ``n_items`` object
+        scores plus the threshold (the one definition of the layout;
+        TJA's hot HJ pass ships by it without building the message)."""
+        return n_items * ObjectScore.WIRE_BYTES + SZ_VALUE + SZ_COUNT
+
     @property
     def payload_bytes(self) -> int:
-        return len(self.items) * ObjectScore.WIRE_BYTES + SZ_VALUE + SZ_COUNT
+        return JoinReplyMessage.wire_bytes(len(self.items))
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,13 @@ def validate(query: Query, schema: Schema) -> None:
                     "sensed attribute to rank nodes by"
                 )
 
+    if not aggregates and not any(c.name in schema.sensed
+                                  for c in query.plain_columns):
+        raise ValidationError(
+            "a query needs an aggregate or a sensed attribute to "
+            "evaluate; select one (e.g. AVG(sound))"
+        )
+
     if group_by == "epoch":
         if query.history is None:
             raise ValidationError(

@@ -9,6 +9,7 @@ aggregates, local top-k, threshold scans).
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from ..errors import ConfigurationError, StorageError
@@ -73,7 +74,12 @@ class SlidingWindow:
             raise StorageError("n must be non-negative")
         if n >= len(self._entries):
             return list(self._entries)
-        return list(self._entries)[len(self._entries) - n:]
+        # Walk back from the newest entry: copies n entries, not the
+        # whole buffer (historic executions read a short tail of a
+        # long-lived window).
+        tail = list(islice(reversed(self._entries), n))
+        tail.reverse()
+        return tail
 
     def since(self, epoch: int) -> list[WindowEntry]:
         """Readings with ``entry.epoch >= epoch``."""

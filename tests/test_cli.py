@@ -74,6 +74,20 @@ class TestScenarioWorkflow:
         assert main(["run", path, "SELECT banana FROM fruit"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("query", [
+        "SELECT nodeid FROM sensors",
+        "SELECT roomid FROM sensors GROUP BY roomid",
+    ])
+    def test_aggregate_less_query_is_a_clean_error(self, tmp_path, capsys,
+                                                   query):
+        path = str(tmp_path / "deployment.json")
+        main(["scenario-init", path])
+        capsys.readouterr()
+        assert main(["run", path, query, "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "needs an aggregate" in err
+
 
 class TestWorkload:
     MIXED = (

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ChurnIntervention, Deployment, EpochDriver
+from repro.core import Tja
+from repro.core.aggregates import make_aggregate
 from repro.errors import RoutingError
 from repro.network import hotpath
 from repro.network.churn import ChurnEvent, ChurnKind, ChurnSchedule
@@ -177,13 +179,14 @@ def test_hot_path_equals_reference_path(seed, k, agg, engines, epochs,
     assert hot == reference
 
 
-@pytest.mark.parametrize("engine", ["mint", "tag", "fila"])
+@pytest.mark.parametrize("engine", ["mint", "tag", "fila", "tja"])
 @pytest.mark.parametrize("churn_seed", [None, 1])
 def test_each_engine_hot_equals_reference(engine, churn_seed):
     """Deterministic per-engine coverage: every engine with a fused
     hot-path pass (MINT's prune+update, TAG's aggregation, FILA's
-    monitor+bounds) is held to the reference path individually — the
-    property test above samples engine mixes, this pins each one."""
+    monitor+bounds, TJA's ranked LB and dense-row HJ) is held to the
+    reference path individually — the property test above samples
+    engine mixes, this pins each one."""
     kwargs = dict(seed=1234, k=2, agg="AVG", engines=[engine],
                   epochs=6, churn_seed=churn_seed)
     with hotpath.reference_path():
@@ -264,6 +267,111 @@ def test_lossy_transport_equivalence(seed, loss, payloads):
     with hotpath.reference_path():
         reference = ship_all()
     assert ship_all() == reference
+
+
+def run_tja(*, seed, func, k, width, pool, loss, shape="random"):
+    """One direct :class:`Tja` execution; returns every observable.
+
+    Columns draw from a small ``pool`` of inexact decimals, so ties
+    are common inside and across columns and float sums depend on
+    their association order. Object ids start at 95, so
+    ``str(object_id)`` order differs from numeric order. Some sensors
+    have no series at all, some an empty one, and at least one
+    interior node never participates. ``shape="cleanup"`` instead
+    gives every participant a private peak and a shared runner-up
+    epoch, which forces a CL expansion for AVG, SUM and MIN.
+    """
+    scenario = grid_rooms_scenario(side=4, rooms_per_axis=2, seed=seed)
+    network = scenario.network
+    if loss:
+        network.radio = dataclasses.replace(network.radio,
+                                            loss_probability=loss)
+    tree = network.tree
+    rng = random.Random(seed)
+    interior = [n for n in tree.sensor_ids if not tree.is_leaf(n)]
+    silent = interior[seed % len(interior)]
+    epochs = range(95, 95 + width)
+    series = {}
+    for index, node in enumerate(tree.sensor_ids):
+        roll = rng.random()
+        if node == silent or roll < 0.1:
+            continue
+        if roll < 0.2:
+            series[node] = {}
+        elif shape == "cleanup":
+            series[node] = {t: 0.0 for t in epochs}
+            series[node][epochs[-1]] = 8.0
+            series[node][epochs[index % (width - 1)]] = 10.0
+        else:
+            series[node] = {t: rng.choice(pool) for t in epochs}
+    if not any(series.values()):
+        series[tree.sensor_ids[0]] = {t: pool[0] for t in epochs}
+    aggregate = make_aggregate(func, 0, 100)
+    dropped = None
+    result = None
+    try:
+        result = Tja(network, aggregate, k, series).execute()
+    except RoutingError as exc:
+        if not loss:
+            raise
+        dropped = str(exc)
+    network.advance_epoch()
+    outcome = None
+    if result is not None:
+        outcome = (
+            tuple((i.key, i.score, i.lb, i.ub) for i in result.items),
+            result.candidates,
+            result.cleanup_rounds,
+            dict(result.per_phase_bytes),
+        )
+    return (outcome, dropped, stats_signature(network.stats),
+            ledger_signature(network), network._rng.random())
+
+
+class TestTjaHotEqualsReference:
+    """TJA's hot LB and HJ passes (one ranking per column, dense value
+    rows, shipping by size) against the per-object reference phases:
+    identical answers, candidate counts, clean-up rounds, per-phase
+    bytes, stats, energy ledgers and loss-stream draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        func=st.sampled_from(["AVG", "SUM", "MIN", "MAX", "COUNT"]),
+        k=st.integers(1, 6),
+        width=st.integers(1, 14),
+        pool=st.lists(st.floats(0.0, 10.0).map(lambda v: round(v, 1)),
+                      min_size=1, max_size=6),
+        loss=st.sampled_from([0.0, 0.0, 0.15]),
+    )
+    def test_hot_equals_reference(self, seed, func, k, width, pool, loss):
+        kwargs = dict(seed=seed, func=func, k=k, width=width, pool=pool,
+                      loss=loss)
+        with hotpath.reference_path():
+            reference = run_tja(**kwargs)
+        assert run_tja(**kwargs) == reference
+
+    @pytest.mark.parametrize("func", ["AVG", "SUM", "MIN"])
+    @pytest.mark.parametrize("loss", [0.0, 0.15])
+    def test_forced_cleanup_hot_equals_reference(self, func, loss):
+        kwargs = dict(seed=3, func=func, k=1, width=12, pool=[0.0],
+                      loss=loss, shape="cleanup")
+        with hotpath.reference_path():
+            reference = run_tja(**kwargs)
+        outcome = reference[0]
+        assert outcome is not None and outcome[2] == 1, \
+            "the case should need one clean-up round"
+        assert run_tja(**kwargs) == reference
+
+    def test_dropping_radio_hot_equals_reference(self):
+        """A radio lossy enough to exhaust the retry budget ends both
+        paths with the same drop after the same traffic."""
+        kwargs = dict(seed=11, func="AVG", k=3, width=10,
+                      pool=[0.1, 0.2, 0.3], loss=0.7)
+        with hotpath.reference_path():
+            reference = run_tja(**kwargs)
+        assert reference[1] is not None, "the run should end in a drop"
+        assert run_tja(**kwargs) == reference
 
 
 class TestFragmentMemo:

@@ -80,6 +80,15 @@ class TestValidator:
     def test_count_star_allowed(self, schema):
         check("SELECT COUNT(*) FROM sensors", schema)
 
+    @pytest.mark.parametrize("text", [
+        "SELECT nodeid FROM sensors",
+        "SELECT roomid FROM sensors GROUP BY roomid",
+        "SELECT * FROM sensors",
+    ])
+    def test_query_without_aggregate_or_sensed_column(self, schema, text):
+        with pytest.raises(ValidationError, match="needs an aggregate"):
+            compile_query(text, schema)
+
     def test_builtin_attributes_known(self, schema):
         check("SELECT nodeid, sound FROM sensors WHERE nodeid < 5", schema)
 

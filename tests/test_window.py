@@ -53,6 +53,29 @@ class TestAccess:
     def test_last_more_than_buffered(self, window):
         assert len(window.last(99)) == 5
 
+    def test_last_zero_is_empty(self, window):
+        assert window.last(0) == []
+        assert SlidingWindow().last(0) == []
+
+    def test_last_fewer_than_buffered_keeps_order(self, window):
+        assert window.last(3) == [WindowEntry(2, 1.0), WindowEntry(3, 9.0),
+                                  WindowEntry(4, 3.0)]
+
+    def test_last_exactly_buffered(self, window):
+        assert window.last(5) == list(window)
+
+    def test_last_after_eviction_at_capacity(self):
+        w = SlidingWindow(capacity=4)
+        for t in range(10):
+            w.append(t, float(t))
+        assert [e.epoch for e in w.last(2)] == [8, 9]
+        assert [e.epoch for e in w.last(4)] == [6, 7, 8, 9]
+        assert [e.epoch for e in w.last(7)] == [6, 7, 8, 9]
+
+    def test_last_negative_raises(self, window):
+        with pytest.raises(StorageError):
+            window.last(-1)
+
     def test_since(self, window):
         assert [e.epoch for e in window.since(3)] == [3, 4]
 
